@@ -11,7 +11,8 @@ compared with MemAvailable; a run that cannot fit is refused.
 --trace 0 prints the end-to-end metrics. Set-up is repeated in separate
 processes and setup_s is the median. --trace 1 runs the workload untraced
 and then traced, for half the seconds each, and prints the per-layer
-metrics plus trace.overhead (traced over untraced throughput).
+metrics plus trace.overhead (traced over untraced throughput). The traced
+run's spans are kept in .perfbench_out/spans-<workload>-seed<seed>.json.gz.
 
 The last stdout line is {"correct", "attempted", "failed", "metrics"}; the
 lines before it give the run context, the output hash and the metrics that
@@ -71,6 +72,10 @@ def _child(args, mode, seconds, workdir, started):
     cmd = [sys.executable, str(HERE / "worker.py"), "--root", str(ROOT),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(seconds), "--mode", mode, "--workdir", str(workdir)]
+    if mode == "trace":
+        spans = spans_path(args)
+        spans.parent.mkdir(exist_ok=True)
+        cmd += ["--spans", str(spans)]
     spawned = time.monotonic()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=_git_env(), cwd=ROOT)
     try:
@@ -84,6 +89,10 @@ def _child(args, mode, seconds, workdir, started):
     result = json.loads(out.decode().strip().splitlines()[-1])
     result["setup_s"] = result["ready_at"] - spawned
     return result
+
+
+def spans_path(args):
+    return ROOT / ".perfbench_out" / f"spans-{args.workload}-seed{args.seed}.json.gz"
 
 
 def _throughput(jobs):
@@ -117,6 +126,7 @@ def measure(args):
             metrics["trace.overhead"] = _metric(
                 _throughput(traced["jobs"]) / _throughput(plain["jobs"]), "ratio")
             main = traced
+            setups = []
         else:
             setups = [child("setup", 0)["setup_s"] for _ in range(SETUP_SAMPLES - 1)]
             main = child("run", args.seconds)
@@ -142,6 +152,7 @@ def measure(args):
         "seed": args.seed,
         "context": dict(main["context"], git_commit=_git_commit()),
         "forecast_peak_mb": forecast,
+        "setup_samples_s": setups,
         "peak_rss_mb": main["peak_rss_mb"],
         "jobs": len(main["jobs"]),
         "output_sha256": hashes,
@@ -150,6 +161,8 @@ def measure(args):
         "ref_err": _metric(main["ref_err"], workload.ref_unit),
         "problems": problems,
     }
+    if args.trace:
+        detail["spans_file"] = str(spans_path(args).relative_to(ROOT))
     correct = not problems and failed == 0 and len(hashes) == 1
     return correct, attempted, failed, metrics, detail
 

@@ -3,6 +3,8 @@
     python3 -m pytest perfbench/test_perfbench.py
 """
 
+import gzip
+import json
 import math
 import threading
 import types
@@ -17,8 +19,8 @@ from tracing import Span
 
 def test_forecast_counts_float64_arrays_per_worker():
     # 1024 x 1024 float64 is 8 MB; two of them on each of three workers.
-    assert workloads.forecast_mb(1024, 1024, 2, workers=3, base_mb=10.0) == 10.0 + 48.0
-    assert workloads.forecast_mb(512, 1024, 3, base_mb=0.0) == 12.0
+    assert workloads.forecast_mb(1024, 1024, 2, workers=3) == workloads.BASE_MB + 48.0
+    assert workloads.forecast_mb(512, 1024, 3) == workloads.BASE_MB + 12.0
 
 
 def test_workload_forecasts_use_their_shapes():
@@ -167,3 +169,15 @@ def test_summary_normalises_per_unit():
     assert m["montecarlo.self_s"][0] == pytest.approx(0.05)
     assert m["master.det.calls"] == (0.0, "calls/unit")
     assert m["montecarlo.trial_ms_n"] == (1, "count")
+
+
+def test_spans_are_written_with_parent_indices(tmp_path):
+    trial = Span("montecarlo.run_trial", None, 0.0, 0.4)
+    noise = Span("ensemble.sample_noise", trial, 0.0, 0.1)
+    path = tmp_path / "spans.json.gz"
+    tracing.write_spans([noise, trial], path)
+    with gzip.open(path, "rt") as fh:
+        data = json.load(fh)
+    assert data["fields"] == ["name", "parent", "start", "end"]
+    assert data["spans"] == [["ensemble.sample_noise", 1, 0.0, 0.1],
+                             ["montecarlo.run_trial", None, 0.0, 0.4]]

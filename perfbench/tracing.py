@@ -12,7 +12,9 @@ Only the benchmark imports this module; nothing under ``src/`` knows of it.
 """
 
 import functools
+import gzip
 import inspect
+import json
 import math
 import os
 import threading
@@ -73,8 +75,7 @@ class Span:
 class Tracer:
     """Records a span per call of every wrapped function."""
 
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans = []
         self._main_ident = threading.main_thread().ident
         self._main_stack = []
@@ -108,11 +109,11 @@ class Tracer:
             if spectra:
                 span.matrix = _largest_matrix(args)
             stack.append(span)
-            span.start = self.clock()
+            span.start = time.perf_counter()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                span.end = self.clock()
+                span.end = time.perf_counter()
                 stack.pop()
                 self.spans.append(span)
             if work is not None:
@@ -153,6 +154,19 @@ class Tracer:
 
     def reset(self):
         self.spans = []
+
+
+def write_spans(spans, path):
+    """Write spans as gzipped JSON, one [name, parent, start, end] row each.
+
+    parent is the row index of the parent span, or null for a root span;
+    start and end are time.perf_counter() seconds.
+    """
+    index = {id(s): i for i, s in enumerate(spans)}
+    rows = [[s.name, None if s.parent is None else index.get(id(s.parent)), s.start, s.end]
+            for s in spans]
+    with gzip.open(path, "wt") as fh:
+        json.dump({"fields": ["name", "parent", "start", "end"], "spans": rows}, fh)
 
 
 def covered(intervals, lo, hi):

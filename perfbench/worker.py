@@ -1,11 +1,12 @@
 """One workload in its own process, so that its getrusage peak RSS is its own.
 
     python3 perfbench/worker.py --root . --workload W --seed N --seconds S \
-        --mode {setup,run,trace} --workdir DIR
+        --mode {setup,run,trace} --workdir DIR [--spans FILE]
 
 Imports spikedwide from ROOT/src, sets the workload up, runs one untimed
 warm-up job, then (unless --mode setup) runs jobs in a closed loop for S
-seconds. Each job is timed alone; its checks run outside the timed region.
+seconds. Each job is timed alone; its checks run outside the timed region. With
+--mode trace the timed jobs' spans are written to FILE at the end.
 Prints one JSON line on stdout; the library's own prints are captured.
 """
 
@@ -138,6 +139,7 @@ def run(args):
             layers = tracing.summarize(tracer.spans, units)
             layers["montecarlo.peak_over_x"] = (peak_mb / workload.x_mb(), "ratio")
             result["layers"] = layers
+            tracing.write_spans(tracer.spans, args.spans)
     result.update({"attempted": attempted, "failed": failed, "problems": problems[:10],
                    "ref_err": ref_err, "hash": reference})
     return result
@@ -151,7 +153,10 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=0.0)
     p.add_argument("--mode", choices=("setup", "run", "trace"), required=True)
     p.add_argument("--workdir", required=True)
+    p.add_argument("--spans", help="where --mode trace writes its spans (.json.gz)")
     args = p.parse_args(argv)
+    if args.mode == "trace" and not args.spans:
+        p.error("--mode trace needs --spans")
     proto = sys.stdout
     sys.stdout = sys.stderr   # stray prints must not corrupt the result line
     result = run(args)
