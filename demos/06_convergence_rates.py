@@ -20,11 +20,10 @@ rows = []
 for n in (100, 200, 400):
     m = math.ceil(n ** 1.5)
     config = ModelConfig(n=n, m=m, r=0, seed=31)
-    dev = np.median([stieltjes_deviation_experiment(config, t, u_offset=1.0)
-                     for t in range(TRIALS)])
-    ddev = np.median([stieltjes_deviation_experiment(config, t, u_offset=1.0,
-                                                     derivative=True)
-                      for t in range(TRIALS)])
+    devs = [stieltjes_deviation_experiment(config, t, u_offset=1.0)
+            for t in range(TRIALS)]
+    dev = np.median([d.value for d in devs])
+    ddev = np.median([d.derivative for d in devs])
     rows.append((n, dev))
     print(f"  {n:4d}  {m:5d}   {dev:.3e}    {ddev:.3e}")
 print(f"\nlog-log slope of the value deviation: {fit_rate(rows):.3f} (< 0)")

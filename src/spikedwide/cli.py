@@ -56,11 +56,14 @@ def _parse_ints(text):
 
 
 def _git_describe():
+    # Describe the package's own checkout only: git may not search above it,
+    # so a copy installed inside an unrelated repository reports None.
+    root = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=5, cwd=root,
+            env=dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent)),
         )
         return out.stdout.strip() or None
     except Exception:
@@ -228,13 +231,8 @@ def _cmd_estimate(cfg, out_dir):
 
 
 def _cmd_sweep(cfg, out_dir):
-    taus = tuple(cfg["taus"])
-    base = ModelConfig(
-        n=max(cfg["n_values"]), m=10 * max(cfg["n_values"]),
-        r=len(taus), taus=taus, eps=(),
-        noise_family=cfg["noise_family"], signal_family=cfg["signal_family"],
-        seed=cfg["seed"],
-    )
+    n_max = max(cfg["n_values"])
+    base = _model_config(cfg, n_max, 10 * n_max)
     schedule = BetaSchedule(c=cfg["beta_c"], alpha=cfg["beta_alpha"])
     results = sweep(base, cfg["n_values"], schedule, cfg["trials"], cfg["parallelism"])
     records = [rec for _, report in results for rec in report.records]

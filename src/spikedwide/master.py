@@ -86,23 +86,23 @@ def _check_theta(theta):
     return theta
 
 
-def _assemble(diag_a, diag_d, theta, z, beta, kind, cross=None):
+def _assemble(a, c, d, theta, z, beta, kind):
+    """Lay out [[A, diag(1/theta) + C], [(diag(1/theta) + C)', D]] from r x r blocks."""
     r = theta.shape[0]
-    m2 = np.zeros((2 * r, 2 * r), dtype=complex)
-    idx = np.arange(r)
-    m2[idx, idx] = diag_a
-    m2[r + idx, r + idx] = diag_d
-    off = np.diag(1.0 / theta).astype(complex)
-    if cross is not None:
-        off = off + cross
+    off = c + np.diag(1.0 / theta)
+    m2 = np.empty((2 * r, 2 * r), dtype=complex)
+    m2[:r, :r] = a
     m2[:r, r:] = off
     m2[r:, :r] = off.T
+    m2[r:, r:] = d
     return MasterMatrix(entries=m2, kind=kind, z=complex(z), beta=beta, theta=theta)
 
 
-def _scalar_blocks(s, z, beta):
+def _scalar_master(s, theta, z, beta, kind):
     sz = cmath.sqrt(complex(z))
-    return sz * s, beta * sz * s - (1.0 - beta) / sz
+    a = np.diag(np.full(len(theta), sz * s))
+    d = np.diag(np.full(len(theta), beta * sz * s - (1.0 - beta) / sz))
+    return _assemble(a, 0.0, d, theta, z, beta, kind)
 
 
 def deterministic_master(theta, beta, z):
@@ -113,16 +113,14 @@ def deterministic_master(theta, beta, z):
     """
     theta = _check_theta(theta)
     s, _ = mp.stieltjes(z, beta)
-    a, d = _scalar_blocks(s, z, beta)
-    return _assemble(a, d, theta, z, beta, "deterministic")
+    return _scalar_master(s, theta, z, beta, "deterministic")
 
 
 def semi_empirical_master(theta, noise_eigenvalues, beta, z):
     """Master matrix with the empirical noise Stieltjes transform on the diagonal."""
     theta = _check_theta(theta)
     s, _ = empirical_stieltjes(noise_eigenvalues, z)
-    a, d = _scalar_blocks(s, z, beta)
-    return _assemble(a, d, theta, z, beta, "semi_empirical")
+    return _scalar_master(s, theta, z, beta, "semi_empirical")
 
 
 class EmpiricalMasterEvaluator:
@@ -155,19 +153,11 @@ class EmpiricalMasterEvaluator:
         r12 = self._pu.T @ (g[:, None] * self._py)
         r22 = self._py.T @ (g[:, None] * self._py)
         sz = cmath.sqrt(zc)
-        theta = self.theta
-        r = theta.shape[0]
-        m2 = np.zeros((2 * r, 2 * r), dtype=complex)
-        m2[:r, :r] = sz * r11
-        off = r12 + np.diag(1.0 / theta)
-        m2[:r, r:] = off
-        m2[r:, :r] = off.T
-        m2[r:, r:] = -(self._vv - r22) / sz
-        return MasterMatrix(entries=m2, kind="empirical", z=zc,
-                            beta=self.beta, theta=theta)
+        return _assemble(sz * r11, r12, -(self._vv - r22) / sz,
+                         self.theta, zc, self.beta, "empirical")
 
     def det(self, z):
-        return complex(np.linalg.det(self(z).entries))
+        return self(z).det()
 
 
 def empirical_master(sample, z):

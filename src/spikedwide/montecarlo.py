@@ -57,6 +57,9 @@ TRIAL_ERRORS = (
     DomainError,
 )
 
+#: Stieltjes probe discs are centred at 1 + (2 + PROBE_ETA) sqrt(beta), past the bulk edge.
+PROBE_ETA = 0.5
+
 CSV_COLUMNS = (
     "n", "m", "beta", "tau", "trial",
     "lambda_emp", "lambda_bar", "centered_err",
@@ -150,7 +153,7 @@ _PER_SPIKE_FIELDS = (
 
 
 def run_trial(config, trial_index, measure_stieltjes=False,
-              measure_projection=False, eta=0.5, truncate_noise=False):
+              measure_projection=False, truncate_noise=False):
     """One full measurement pass; deterministic in (config.seed, trial_index).
 
     Spikes are matched to empirical triples by rank order. Subcritical spikes
@@ -195,15 +198,11 @@ def run_trial(config, trial_index, measure_stieltjes=False,
 
     stieltjes_dev = None
     if measure_stieltjes:
-        noise_eigs = covariance_eigenvalues(sample.X)
-        center = 1.0 + (2.0 + eta) * sqrt_beta
-        radius = sample.n ** -0.25 * sqrt_beta
-        stieltjes_dev = probe_deviation(noise_eigs, beta, center, radius)[0] * sqrt_beta
+        stieltjes_dev = _stieltjes_deviation(sample.X).value
 
     proj_energy = None
     if measure_projection:
-        v = stream(config.seed, "probe", trial_index).standard_normal(sample.m)
-        proj_energy = right_projection_energy(sample.X, v / math.sqrt(sample.m))
+        proj_energy = _projection_energy(sample.X, config.seed, trial_index)
 
     return TrialRecord(
         n=sample.n, m=sample.m, beta=beta, taus=config.taus,
@@ -330,20 +329,19 @@ def sweep(base_config, n_values, beta_schedule, trials, parallelism=1,
     return results
 
 
-def probe_deviation(eigenvalues, beta, center, radius, boundary_points=16,
-                    reference=None):
+def probe_deviation(eigenvalues, beta, center, radius, reference=None):
     """(sup |s_emp - s_ref|, sup |s'_emp - s'_ref|) over a disc probe set.
 
     The uncountable sup is realized on a reproducible probe set: the disc
-    center plus equally spaced boundary points. Probes that collide with an
+    center plus 16 equally spaced boundary points. Probes that collide with an
     eigenvalue are nudged by 1e-3 * radius, at most 3 times.
     """
     if reference is None:
         reference = lambda z: mp.stieltjes(z, beta)
     probes = [complex(center)]
-    for k in range(boundary_points):
-        probes.append(center + radius * complex(math.cos(2 * math.pi * k / boundary_points),
-                                                math.sin(2 * math.pi * k / boundary_points)))
+    for k in range(16):
+        angle = 2 * math.pi * k / 16
+        probes.append(center + radius * complex(math.cos(angle), math.sin(angle)))
     dev = ddev = 0.0
     for z in probes:
         for attempt in range(4):
@@ -360,31 +358,9 @@ def probe_deviation(eigenvalues, beta, center, radius, boundary_points=16,
     return dev, ddev
 
 
-def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0,
-                                   eta=0.5, derivative=False, radius_exp=None,
-                                   boundary_points=16):
-    """Normalized sup-deviation of the noise Stieltjes transform on a probe disc.
-
-    Probes a pure-noise draw around u_n = 1 + (2 + eta + u_offset) sqrt(beta)
-    with radius n^(-radius_exp) sqrt(beta) (1/4 by default; 1/8 for the
-    derivative variant). Returns sup|s_n - s_mp| * sqrt(beta), or
-    sup|s_n' - s_mp'| * beta when derivative=True, so both read as "should
-    decay like n^(-ell)".
-    """
-    n, m = config.n, config.m
-    beta = n / m
-    sqrt_beta = math.sqrt(beta)
-    if radius_exp is None:
-        radius_exp = 0.125 if derivative else 0.25
-    center = 1.0 + (2.0 + eta) * sqrt_beta + u_offset * sqrt_beta
-    radius = n ** -radius_exp * sqrt_beta
-    x = sample_noise(n, m, config.noise_family, stream(config.seed, "noise", trial_index))
-    eigs = covariance_eigenvalues(x)
-    dev, ddev = probe_deviation(eigs, beta, center, radius,
-                                boundary_points=boundary_points)
-    if derivative:
-        return ddev * beta
-    return dev * sqrt_beta
+class StieltjesDeviation(NamedTuple):
+    value: float       # sup|s_n - s_mp| * sqrt(beta), disc radius n^(-1/4) sqrt(beta)
+    derivative: float  # sup|s_n' - s_mp'| * beta, disc radius n^(-1/8) sqrt(beta)
 
 
 class ProjectionEnergy(NamedTuple):
@@ -393,18 +369,48 @@ class ProjectionEnergy(NamedTuple):
     ratio_beta_log: float  # energy / (beta * log n)
 
 
+# Noise-only measurements, shared by run_trial and the rate experiments.
+def _noise(config, trial_index):
+    return sample_noise(config.n, config.m, config.noise_family,
+                        stream(config.seed, "noise", trial_index))
+
+
+def _stieltjes_deviation(x, u_offset=0.0):
+    n, m = x.shape
+    beta = n / m
+    sqrt_beta = math.sqrt(beta)
+    center = 1.0 + (2.0 + PROBE_ETA) * sqrt_beta + u_offset * sqrt_beta
+    eigs = covariance_eigenvalues(x)
+    dev, _ = probe_deviation(eigs, beta, center, n ** -0.25 * sqrt_beta)
+    _, ddev = probe_deviation(eigs, beta, center, n ** -0.125 * sqrt_beta)
+    return StieltjesDeviation(dev * sqrt_beta, ddev * beta)
+
+
+def _projection_energy(x, seed, trial_index):
+    m = x.shape[1]
+    v = stream(seed, "probe", trial_index).standard_normal(m)
+    return right_projection_energy(x, v / math.sqrt(m))
+
+
+def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0):
+    """Normalized sup-deviations of the noise Stieltjes transform and its derivative.
+
+    Probes one pure-noise draw, with one eigendecomposition, around
+    u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); see StieltjesDeviation
+    for the radii and scalings. Both read as "should decay like n^(-ell)".
+    """
+    return _stieltjes_deviation(_noise(config, trial_index), u_offset)
+
+
 def projection_energy_experiment(config, trial_index=0):
     """Energy of an independent signal vector inside the noise row space.
 
     Draws pure noise X and v with i.i.d. N(0, 1/m) entries, then measures
     ‖W'v‖^2 against its expected size beta and the beta*log(n) envelope.
     """
-    n, m = config.n, config.m
-    beta = n / m
-    x = sample_noise(n, m, config.noise_family, stream(config.seed, "noise", trial_index))
-    v = stream(config.seed, "probe", trial_index).standard_normal(m) / math.sqrt(m)
-    energy = right_projection_energy(x, v)
-    return ProjectionEnergy(energy, energy / beta, energy / (beta * math.log(n)))
+    beta = config.n / config.m
+    energy = _projection_energy(_noise(config, trial_index), config.seed, trial_index)
+    return ProjectionEnergy(energy, energy / beta, energy / (beta * math.log(config.n)))
 
 
 def fit_rate(pairs):

@@ -103,7 +103,7 @@ def proportional_reference(theta, beta):
     t2 = theta * theta
     if not theta > beta ** 0.25:
         return edge, 0.0, 0.0
-    lam = (1.0 + t2) * (beta + t2) / t2
+    lam = spike_eigenvalue_location(theta, beta)
     u_sq = 1.0 - beta * (1.0 + t2) / (t2 * (t2 + beta))
     v_sq = 1.0 - (beta + t2) / (t2 * (t2 + 1.0))
     return lam, u_sq, v_sq

@@ -22,6 +22,9 @@ __all__ = [
     "right_projection_energy",
 ]
 
+#: Relative eigenvalue floor of (1/m) X X' below which X counts as rank deficient.
+RANK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -66,9 +69,9 @@ def top_spectrum(X_tilde, k):
     w, q = np.linalg.eigh(sample_covariance(X_tilde))
     eigenvalues = np.maximum(w[::-1], 0.0)
     left = q[:, ::-1][:, :k].copy()
-    sigma = np.sqrt(eigenvalues[:k])
-    if np.any(sigma <= eigenvalues[0] * 1e-15):
+    if eigenvalues[k - 1] <= RANK_TOL * eigenvalues[0]:
         raise NumericalError("requested singular triples below numerical rank")
+    sigma = np.sqrt(eigenvalues[:k])
     right = (X_tilde.T @ left) / (np.sqrt(m) * sigma)
     for j in range(k):
         i_max = np.argmax(np.abs(left[:, j]))
@@ -124,7 +127,7 @@ def right_projection_energy(X, v):
         raise ValidationError(f"v must have length m={m}")
     g = X @ X.T
     w, q = np.linalg.eigh(g)
-    if w[0] <= w[-1] * 1e-12:
+    if w[0] <= RANK_TOL * w[-1]:
         raise NumericalError("X is (numerically) rank deficient")
     y = q.T @ (X @ v)
     return float(np.sum(y * y / w))

@@ -1,10 +1,16 @@
 """CLI contract: verbs, flag/config precedence, reproducibility, exit codes."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikedwide
 from spikedwide import io
 from spikedwide.cli import main
 from spikedwide.ensemble import ModelConfig, sample_model, sample_noise, stream
@@ -140,6 +146,31 @@ class TestVerify:
                                "--taus", "1.05", "--draws", "1",
                                "--seed", str(SEED), "--out-dir", str(tmp_path))
         assert code == 2
+
+
+class TestGitDescribe:
+    def test_only_the_package_checkout_is_described(self, tmp_path):
+        # Copies of the package inside one temporary repository: at its src/
+        # the package is that checkout's; under lib/site-packages it is not.
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        (tmp_path / "README").write_text("x\n")
+        subprocess.run(git + ["add", "README"], check=True)
+        subprocess.run(git + ["commit", "-q", "--no-gpg-sign", "-m", "x"], check=True)
+        head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        described = {}
+        for where in ("src", "lib/site-packages"):
+            dest = tmp_path / where / "spikedwide"
+            shutil.copytree(Path(spikedwide.__file__).parent, dest,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            out = subprocess.run(
+                [sys.executable, "-c",
+                 "from spikedwide.cli import _git_describe; print(_git_describe())"],
+                env=dict(os.environ, PYTHONPATH=str(dest.parent)),
+                check=True, capture_output=True, text=True)
+            described[where] = out.stdout.strip()
+        assert described == {"src": head, "lib/site-packages": "None"}
 
 
 class TestUsage:

@@ -29,6 +29,15 @@ from spikedwide.spectra import empirical_stieltjes
 
 
 class TestRunTrial:
+    def test_measurements_match_the_rate_experiments(self):
+        # Same noise stream, same probe path: the numbers agree exactly.
+        for config in (ModelConfig(n=40, m=800, r=0, seed=SUITE_SEED),
+                       ModelConfig(n=40, m=800, r=2, taus=(2.0, 1.2), seed=SUITE_SEED)):
+            for t in (0, 1):
+                rec = run_trial(config, t, measure_stieltjes=True, measure_projection=True)
+                assert rec.stieltjes_dev == stieltjes_deviation_experiment(config, t).value
+                assert rec.proj_energy == projection_energy_experiment(config, t).energy
+
     def test_rank_zero(self):
         config = ModelConfig(n=30, m=300, r=0, seed=1)
         rec = run_trial(config, 0)
@@ -154,16 +163,15 @@ class TestStieltjesDeviation:
     def test_normalized_deviation_small(self):
         # n=200, beta=0.01, eta=0.5: normalized deviation < 1 for >= 95% of seeds
         config = ModelConfig(n=200, m=20000, r=0, seed=SUITE_SEED)
-        devs = [stieltjes_deviation_experiment(config, t) for t in range(20)]
+        devs = [stieltjes_deviation_experiment(config, t).value for t in range(20)]
         assert np.mean(np.array(devs) < 1.0) >= 0.95
 
     def test_monotone_trend_is_checked_in_acceptance(self):
         # covered by the acceptance suite (criterion 6); here only the scaling
         # plumbing: derivative variant uses the wider normalization.
         config = ModelConfig(n=100, m=1000, r=0, seed=SUITE_SEED)
-        value = stieltjes_deviation_experiment(config, 0, u_offset=1.0)
-        deriv = stieltjes_deviation_experiment(config, 0, u_offset=1.0, derivative=True)
-        assert value > 0 and deriv > 0
+        dev = stieltjes_deviation_experiment(config, 0, u_offset=1.0)
+        assert dev.value > 0 and dev.derivative > 0
 
 
 class TestProjectionEnergy:

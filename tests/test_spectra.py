@@ -86,6 +86,21 @@ class TestTopSpectrum:
             resid = x @ spec.right_vectors[:, j] / math.sqrt(25) - sigma * spec.left_vectors[:, j]
             assert np.abs(resid).max() < 1e-10
 
+    def test_rank_guard_is_scale_free(self):
+        # A well-conditioned full-rank matrix stays full rank at any scale.
+        x = stream(SEED, "noise").standard_normal((4, 40))
+        spec = top_spectrum(1e15 * x, 4)
+        assert spec.eigenvalues == pytest.approx(1e30 * top_spectrum(x, 4).eigenvalues,
+                                                 rel=1e-10)
+
+    def test_rank_deficient_raises(self):
+        # Rank 3: the 4th eigenvalue is rounding noise, about 5e-17 of the top one.
+        rng = stream(SEED, "signal")
+        x = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 40))
+        with pytest.raises(NumericalError):
+            top_spectrum(x, 4)
+        assert top_spectrum(x, 3).k == 3
+
     def test_k_validation(self):
         x = np.eye(3)
         for k in (0, 4):
