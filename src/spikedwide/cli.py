@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, mp
+from . import __version__, estimator, io, master, mp
 from .ensemble import ModelConfig, sample_model
 from .errors import (
     CertificationError,
@@ -70,88 +70,60 @@ def _git_describe():
         return None
 
 
+#: verb -> (help, {key: default}). Each key is the flag --key (underscores as
+#: dashes) and the config-file key; its converter follows from its default.
+_VERBS = {
+    "simulate": ("run repeated spiked-model trials, write tidy CSV", {
+        "seed": 0, "n": 100, "m": 10000, "taus": (2.0,), "eps": (),
+        "noise_family": "gaussian", "signal_family": "gaussian_iid",
+        "trials": 10, "parallelism": 1,
+    }),
+    "predict": ("theory table for (taus, beta)", {
+        "seed": 0, "taus": (2.0,), "beta": 0.01,
+    }),
+    "estimate": ("detect outliers and estimate strengths from a CSV matrix", {
+        "seed": 0, "input": None, "eta": estimator.DEFAULT_ETA,
+    }),
+    "sweep": ("convergence sweep over n with a beta schedule", {
+        "seed": 0, "n_values": (100, 200, 400), "beta_c": 1.0, "beta_alpha": 0.5,
+        "taus": (2.0,), "noise_family": "gaussian",
+        "signal_family": "gaussian_iid", "trials": 10, "parallelism": 1,
+    }),
+    "verify": ("certify outlier roots on fresh draws and run the identity suite", {
+        "seed": 0, "n": 300, "m": 30000, "taus": (2.0,),
+        "noise_family": "gaussian", "signal_family": "gaussian_iid",
+        "draws": 3, "ell": master.DEFAULT_ELL, "nodes": master.DEFAULT_NODES,
+    }),
+}
+
+
+def _converter(key, default):
+    if isinstance(default, tuple):
+        return _parse_ints if key == "n_values" else _parse_floats
+    return str if default is None else type(default)
+
+
 def build_parser():
     parser = _Parser(prog="spikedwide", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    for verb, (help_text, defaults) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: SPIKE_SEED env, then 0)")
-
-    p = sub.add_parser("simulate", help="run repeated spiked-model trials, write tidy CSV")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--taus", type=_parse_floats)
-    p.add_argument("--eps", type=_parse_floats)
-    p.add_argument("--noise-family", dest="noise_family")
-    p.add_argument("--signal-family", dest="signal_family")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--parallelism", type=int)
-
-    p = sub.add_parser("predict", help="theory table for (taus, beta)")
-    common(p)
-    p.add_argument("--taus", type=_parse_floats)
-    p.add_argument("--beta", type=float)
-
-    p = sub.add_parser("estimate", help="detect outliers and estimate strengths from a CSV matrix")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--eta", type=float)
-
-    p = sub.add_parser("sweep", help="convergence sweep over n with a beta schedule")
-    common(p)
-    p.add_argument("--n-values", dest="n_values", type=_parse_ints)
-    p.add_argument("--beta-c", dest="beta_c", type=float)
-    p.add_argument("--beta-alpha", dest="beta_alpha", type=float)
-    p.add_argument("--taus", type=_parse_floats)
-    p.add_argument("--noise-family", dest="noise_family")
-    p.add_argument("--signal-family", dest="signal_family")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--parallelism", type=int)
-
-    p = sub.add_parser("verify", help="certify outlier roots on fresh draws and run the identity suite")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--taus", type=_parse_floats)
-    p.add_argument("--noise-family", dest="noise_family")
-    p.add_argument("--signal-family", dest="signal_family")
-    p.add_argument("--draws", type=int)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--nodes", type=int)
-
+        p.add_argument("--out-dir", help="output directory (default: cwd)")
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), type=_converter(key, default),
+                           help="RNG seed (fallback: SPIKE_SEED env, then 0)"
+                           if key == "seed" else None)
     return parser
 
-
-_DEFAULTS = {
-    "simulate": {
-        "n": 100, "m": 10000, "taus": (2.0,), "eps": (),
-        "noise_family": "gaussian", "signal_family": "gaussian_iid",
-        "trials": 10, "parallelism": 1, "seed": 0,
-    },
-    "predict": {"taus": (2.0,), "beta": 0.01, "seed": 0},
-    "estimate": {"input": None, "eta": 0.5, "seed": 0},
-    "sweep": {
-        "n_values": (100, 200, 400), "beta_c": 1.0, "beta_alpha": 0.5,
-        "taus": (2.0,), "noise_family": "gaussian",
-        "signal_family": "gaussian_iid", "trials": 10, "parallelism": 1,
-        "seed": 0,
-    },
-    "verify": {
-        "n": 300, "m": 30000, "taus": (2.0,),
-        "noise_family": "gaussian", "signal_family": "gaussian_iid",
-        "draws": 3, "ell": 0.2, "nodes": 256, "seed": 0,
-    },
-}
 
 _META_ONLY = {"verb", "version", "git_describe", "tolerance_provenance"}
 
 
 def _effective_config(args):
-    verb = args.verb
-    config = dict(_DEFAULTS[verb])
+    """Precedence: flag > config file > SPIKE_SEED > verb default."""
+    defaults = _VERBS[args.verb][1]
+    texts = {"seed": os.environ["SPIKE_SEED"]} if "SPIKE_SEED" in os.environ else {}
     if args.config:
         loaded = io.read_json(args.config)
         if not isinstance(loaded, dict):
@@ -159,20 +131,24 @@ def _effective_config(args):
         for key, value in loaded.items():
             if key in _META_ONLY or key == "out_dir":
                 continue
-            if key not in config:
-                raise ValidationError(f"unknown config key {key!r} for verb {verb!r}")
-            if key in ("taus", "eps"):
-                value = tuple(float(v) for v in value)
-            elif key == "n_values":
-                value = tuple(int(v) for v in value)
-            config[key] = value
+            if key not in defaults:
+                raise ValidationError(f"unknown config key {key!r} for verb {args.verb!r}")
+            # A config value is read as its flag would read the same text;
+            # JSON null keeps the default.
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            if value is not None:
+                texts[key] = str(value)
+    config = dict(defaults)
+    for key, text in texts.items():
+        try:
+            config[key] = _converter(key, defaults[key])(text)
+        except ValueError as exc:
+            raise ValidationError(f"bad value {text!r} for {key!r}: {exc}") from exc
     for key in config:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
-    if getattr(args, "seed", None) is None and "SPIKE_SEED" in os.environ and (
-            not args.config or "seed" not in io.read_json(args.config)):
-        config["seed"] = int(os.environ["SPIKE_SEED"])
     return config
 
 

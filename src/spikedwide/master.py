@@ -19,6 +19,7 @@ import numpy as np
 
 from . import mp
 from .errors import CertificationError, PoleError, ValidationError
+from .predictions import predict
 from .spectra import empirical_stieltjes, sample_covariance, top_spectrum
 
 __all__ = [
@@ -217,7 +218,7 @@ def _contour_clear(noise_eigenvalues, center, radius):
     return not (np.any(np.abs(d - radius) < margin) or np.any(d < radius - margin))
 
 
-def certify_outliers(sample, predictions=None, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
+def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     """Winding-number certificates for every above-threshold spike.
 
     Each contour is a circle of radius n^(-ell) * sqrt(beta) around the
@@ -230,11 +231,8 @@ def certify_outliers(sample, predictions=None, ell=DEFAULT_ELL, nodes=DEFAULT_NO
     if sample.r == 0:
         return []
     beta = sample.beta
-    if predictions is None:
-        from .predictions import predict
-
-        predictions = predict(sample.theta / beta ** 0.25, beta)
-    supercritical = [p for p in predictions if p.above_threshold]
+    supercritical = [p for p in predict(sample.theta / beta ** 0.25, beta)
+                     if p.above_threshold]
     if not supercritical:
         return []
 

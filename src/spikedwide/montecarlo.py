@@ -60,11 +60,15 @@ TRIAL_ERRORS = (
 #: Stieltjes probe discs are centred at 1 + (2 + PROBE_ETA) sqrt(beta), past the bulk edge.
 PROBE_ETA = 0.5
 
-CSV_COLUMNS = (
-    "n", "m", "beta", "tau", "trial",
+#: The per-spike fields of TrialRecord, in CSV column order.
+_PER_SPIKE_FIELDS = (
     "lambda_emp", "lambda_bar", "centered_err",
-    "u_overlap", "u_cross_max", "v_overlap", "v_cross_max", "bulk_top",
+    "u_overlap", "u_cross_max", "v_overlap", "v_cross_max",
 )
+#: Per-trial scalars; the last two are the optional measurements (None when off).
+_SCALAR_FIELDS = ("bulk_top", "stieltjes_dev", "proj_energy")
+
+CSV_COLUMNS = ("n", "m", "beta", "tau", "trial") + _PER_SPIKE_FIELDS + ("bulk_top",)
 
 
 @dataclass(frozen=True)
@@ -90,21 +94,12 @@ class TrialRecord:
 
     def rows(self):
         """Tidy CSV rows, one per spike."""
-        out = []
-        for i, tau in enumerate(self.taus):
-            out.append({
-                "n": self.n, "m": self.m, "beta": self.beta, "tau": tau,
-                "trial": self.trial,
-                "lambda_emp": self.lambda_emp[i],
-                "lambda_bar": self.lambda_bar[i],
-                "centered_err": self.centered_err[i],
-                "u_overlap": self.u_overlap[i],
-                "u_cross_max": self.u_cross_max[i],
-                "v_overlap": self.v_overlap[i],
-                "v_cross_max": self.v_cross_max[i],
-                "bulk_top": self.bulk_top,
-            })
-        return out
+        return [
+            {"n": self.n, "m": self.m, "beta": self.beta, "tau": tau, "trial": self.trial,
+             **{name: getattr(self, name)[i] for name in _PER_SPIKE_FIELDS},
+             "bulk_top": self.bulk_top}
+            for i, tau in enumerate(self.taus)
+        ]
 
 
 class Aggregate(NamedTuple):
@@ -144,12 +139,6 @@ class ExperimentReport:
             ],
             "scalars": {k: list(v) for k, v in self.scalars.items()},
         }
-
-
-_PER_SPIKE_FIELDS = (
-    "lambda_emp", "lambda_bar", "centered_err",
-    "u_overlap", "u_cross_max", "v_overlap", "v_cross_max",
-)
 
 
 def run_trial(config, trial_index, measure_stieltjes=False,
@@ -228,7 +217,8 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
                    **trial_kwargs):
     """Run `trials` independent trials and aggregate.
 
-    Aggregation consumes records in trial order whatever the completion
+    Trials run on a pool of `parallelism` threads (one thread at 1), and
+    aggregation consumes records in trial order whatever the completion
     order, so reports are identical for any parallelism. Individual trials
     may fail with a numerical error; more than 10% failures aborts.
     """
@@ -237,44 +227,34 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
     if parallelism < 1:
         raise ValidationError("parallelism must be >= 1")
 
-    records = [None] * trials
-    failures = []
-
     def work(i):
-        return run_trial(config, i, **trial_kwargs)
+        try:
+            return run_trial(config, i, **trial_kwargs), None
+        except TRIAL_ERRORS as exc:
+            return None, (i, repr(exc))
 
-    if parallelism == 1:
-        for i in range(trials):
-            try:
-                records[i] = work(i)
-            except TRIAL_ERRORS as exc:
-                failures.append((i, repr(exc)))
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {i: pool.submit(work, i) for i in range(trials)}
-            for i, fut in futures.items():
-                try:
-                    records[i] = fut.result()
-                except TRIAL_ERRORS as exc:
-                    failures.append((i, repr(exc)))
-
-    good = [rec for rec in records if rec is not None]
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+    try:
+        outcomes = list(pool.map(work, range(trials)))
+    finally:
+        # Any other error propagates at once; trials still queued are cancelled.
+        pool.shutdown(cancel_futures=True)
+    good = [rec for rec, _ in outcomes if rec is not None]
+    failures = [failure for _, failure in outcomes if failure is not None]
     if len(failures) > 0.1 * trials or not good:
         raise ExperimentError(
             f"{len(failures)}/{trials} trials failed: {failures[:3]}"
         )
 
-    per_spike = []
-    for i in range(config.r):
-        per_spike.append({
-            name: _aggregate([getattr(rec, name)[i] for rec in good])
-            for name in _PER_SPIKE_FIELDS
-        })
-    scalars = {"bulk_top": _aggregate([rec.bulk_top for rec in good])}
-    if good[0].stieltjes_dev is not None:
-        scalars["stieltjes_dev"] = _aggregate([rec.stieltjes_dev for rec in good])
-    if good[0].proj_energy is not None:
-        scalars["proj_energy"] = _aggregate([rec.proj_energy for rec in good])
+    per_spike = [
+        {name: _aggregate([getattr(rec, name)[i] for rec in good])
+         for name in _PER_SPIKE_FIELDS}
+        for i in range(config.r)
+    ]
+    scalars = {
+        name: _aggregate([getattr(rec, name) for rec in good])
+        for name in _SCALAR_FIELDS if getattr(good[0], name) is not None
+    }
 
     return ExperimentReport(
         config=config, schedule=schedule,

@@ -108,10 +108,35 @@ class TestSimulate:
         assert meta["seed"] == 9 and meta["n"] == 30
 
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
+        # SPIKE_SEED beats the default; a seed in the config file beats SPIKE_SEED.
         monkeypatch.setenv("SPIKE_SEED", "4242")
-        assert run_cli(capsys, "simulate", "--n", "20", "--m", "200", "--taus", "2",
-                       "--trials", "1", "--out-dir", str(tmp_path))[0] == 0
-        assert io.read_json(tmp_path / "metadata.json")["seed"] == 4242
+        cfg_path = tmp_path / "cfg.json"
+        io.write_json(cfg_path, {"seed": 3})
+        for extra, seed in (((), 4242), (("--config", str(cfg_path)), 3)):
+            assert run_cli(capsys, "simulate", "--n", "20", "--m", "200", "--taus", "2",
+                           "--trials", "1", *extra, "--out-dir", str(tmp_path))[0] == 0
+            assert io.read_json(tmp_path / "metadata.json")["seed"] == seed
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("n", 30.0, 1), ("trials", "2", 0), ("taus", 2.0, 0),
+    ])
+    def test_config_value_reads_like_its_flag(self, capsys, tmp_path, key, value, code):
+        # A config value is converted as its flag converts the same text:
+        # "30.0" is no int, "2" is two trials and "2.0" is the tau list (2.0,).
+        base = {"n": 20, "m": 200, "taus": [2.0], "trials": 1, "seed": 3}
+        base_path, cfg_path = tmp_path / "base.json", tmp_path / "cfg.json"
+        io.write_json(base_path, base)
+        io.write_json(cfg_path, {**base, key: value})
+        got, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                              "--out-dir", str(tmp_path / "cfg"))
+        flag, _, _ = run_cli(capsys, "simulate", "--config", str(base_path),
+                             "--" + key, str(value), "--out-dir", str(tmp_path / "flag"))
+        assert got == flag == code
+        if code:
+            assert err.startswith("validation error:") and repr(key) in err
+        else:
+            assert ((tmp_path / "cfg" / "metadata.json").read_bytes()
+                    == (tmp_path / "flag" / "metadata.json").read_bytes())
 
 
 class TestSweepVerb:
@@ -124,6 +149,15 @@ class TestSweepVerb:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + 2 sizes * 2 trials * 1 spike
         assert lines[0].startswith("n,m,beta,tau,trial")
+
+    def test_rerun_from_metadata_reproduces(self, capsys, tmp_path):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(capsys, "sweep", "--n-values", "30,60", "--beta-c", "0.1",
+                       "--beta-alpha", "0", "--taus", "2.5", "--trials", "2",
+                       "--seed", "5", "--out-dir", str(d1))[0] == 0
+        assert run_cli(capsys, "sweep", "--config", str(d1 / "metadata.json"),
+                       "--out-dir", str(d2))[0] == 0
+        assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ conftest (n=200, beta=0.005, 50 trials per tau).
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -109,17 +110,41 @@ class TestRunExperiment:
             run_experiment(config, trials=9)
 
     def test_small_failure_fraction_tolerated(self, monkeypatch):
+        # 2 of 20 failures is within the 10% budget; they are recorded in
+        # trial order, and the report is the same at any parallelism.
         real = montecarlo.run_trial
 
         def flaky(config, trial_index, **kw):
-            if trial_index == 7:
-                raise PoleError("synthetic failure")
+            if trial_index in (2, 5):
+                raise PoleError(f"synthetic failure {trial_index}")
             return real(config, trial_index, **kw)
 
         monkeypatch.setattr(montecarlo, "run_trial", flaky)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
-        report = run_experiment(config, trials=20)
-        assert report.trial_count == 19 and report.failed_count == 1
+        serial, threaded = (run_experiment(config, trials=20, parallelism=p)
+                            for p in (1, 3))
+        assert serial.trial_count == 18 and serial.failed_count == 2
+        assert [i for i, _ in serial.failures] == [2, 5]
+        assert serial.failures == threaded.failures
+        assert serial.to_dict() == threaded.to_dict()
+        assert ([rec.trial for rec in serial.records]
+                == [rec.trial for rec in threaded.records])
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_unexpected_error_propagates(self, monkeypatch, parallelism):
+        started = []
+
+        def broken(config, trial_index, **kw):
+            started.append(trial_index)
+            if trial_index == 0:
+                raise RuntimeError("not a trial error")
+            time.sleep(0.05)
+
+        monkeypatch.setattr(montecarlo, "run_trial", broken)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        with pytest.raises(RuntimeError, match="not a trial error"):
+            run_experiment(config, trials=40, parallelism=parallelism)
+        assert len(started) < 40  # queued trials were cancelled, not run
 
 
 class TestSweep:
