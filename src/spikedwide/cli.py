@@ -47,12 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_floats(text):
-    return tuple(float(x) for x in str(text).split(",") if x != "")
+def _parse_list(item):
+    # "" is the empty list; an empty item inside a list ("2,,1.2") is an error.
+    return lambda text: tuple(item(x) for x in text.split(",")) if text else ()
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in str(text).split(",") if x != "")
+def _parse_spikes(text):
+    taus = _parse_list(float)(text)
+    if not taus:
+        raise ValueError("need at least one spike")
+    return taus
 
 
 def _git_describe():
@@ -98,8 +102,10 @@ _VERBS = {
 
 
 def _converter(key, default):
+    if key == "taus":
+        return _parse_spikes
     if isinstance(default, tuple):
-        return _parse_ints if key == "n_values" else _parse_floats
+        return _parse_list(int if key == "n_values" else float)
     return str if default is None else type(default)
 
 
@@ -110,8 +116,9 @@ def build_parser():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override it")
         p.add_argument("--out-dir", help="output directory (default: cwd)")
-        for key, default in defaults.items():
-            p.add_argument("--" + key.replace("_", "-"), type=_converter(key, default),
+        # Flag values stay text here; _effective_config converts them.
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"),
                            help="RNG seed (fallback: SPIKE_SEED env, then 0)"
                            if key == "seed" else None)
     return parser
@@ -139,16 +146,14 @@ def _effective_config(args):
                 value = ",".join(map(str, value))
             if value is not None:
                 texts[key] = str(value)
+    texts.update((key, getattr(args, key)) for key in defaults
+                 if getattr(args, key) is not None)
     config = dict(defaults)
     for key, text in texts.items():
         try:
             config[key] = _converter(key, defaults[key])(text)
         except ValueError as exc:
             raise ValidationError(f"bad value {text!r} for {key!r}: {exc}") from exc
-    for key in config:
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
     return config
 
 

@@ -11,6 +11,7 @@ reproducible regardless of evaluation order.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -142,18 +143,28 @@ def _freeze(a):
 
 @dataclass(frozen=True)
 class SpikedSample:
-    """Realized factors of one draw; arrays are read-only after construction."""
+    """Realized factors of one draw; arrays are read-only after construction.
+
+    The observed matrix X_tilde is formed on first access only: the trial
+    and certificate paths work from the factors and never need it.
+    """
 
     U: np.ndarray          # n x r left signal vectors
     V: np.ndarray          # m x r right signal vectors
     theta: np.ndarray      # r signal strengths
     X: np.ndarray          # n x m noise
-    X_tilde: np.ndarray    # n x m observed (unscaled: divide by sqrt(m) for model form)
     config: ModelConfig = field(default=None, compare=False)
 
     def __post_init__(self):
-        for name in ("U", "V", "theta", "X", "X_tilde"):
+        for name in ("U", "V", "theta", "X"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), float)))
+
+    @cached_property
+    def X_tilde(self):
+        """n x m observed sqrt(m) U diag(theta) V' + X (divide by sqrt(m) for model form)."""
+        if not self.r:
+            return self.X
+        return _freeze(math.sqrt(self.m) * ((self.U * self.theta) @ self.V.T) + self.X)
 
     @property
     def n(self):
@@ -228,7 +239,7 @@ def sample_noise(n, m, noise_family, rng):
 
 
 def assemble_spiked(U, V, theta, X, config=None):
-    """Combine factors into a SpikedSample with X_tilde = sqrt(m) U diag(theta) V' + X."""
+    """Combine factors into a SpikedSample; X_tilde = sqrt(m) U diag(theta) V' + X is lazy."""
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -239,11 +250,7 @@ def assemble_spiked(U, V, theta, X, config=None):
         raise ValidationError(
             f"shape mismatch: U {U.shape}, V {V.shape}, theta {theta.shape}, X {X.shape}"
         )
-    if r == 0:
-        x_tilde = X.copy()
-    else:
-        x_tilde = math.sqrt(m) * ((U * theta) @ V.T) + X
-    return SpikedSample(U=U, V=V, theta=theta, X=X, X_tilde=x_tilde, config=config)
+    return SpikedSample(U=U, V=V, theta=theta, X=X, config=config)
 
 
 def sample_model(config, trial_index=0):

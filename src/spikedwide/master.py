@@ -9,6 +9,9 @@ empirical: resolvent forms of the realized noise matrix; semi_empirical:
 the empirical Stieltjes transform times identities; deterministic: the
 Marchenko-Pastur transform times identities. Outliers are certified by
 counting determinant roots inside small contours with the argument principle.
+The empirical forms and the certificates read the noise eigh of (1/m) X X',
+X V and V'V, and the observed spectrum, from one spectra._GramKernel per
+sample; neither forms X_tilde.
 """
 
 import cmath
@@ -19,8 +22,8 @@ import numpy as np
 
 from . import mp
 from .errors import CertificationError, PoleError, ValidationError
-from .predictions import predict
-from .spectra import empirical_stieltjes, sample_covariance, top_spectrum
+from .predictions import spike_eigenvalue_location
+from .spectra import _GramKernel, empirical_stieltjes
 
 __all__ = [
     "MasterMatrix",
@@ -127,23 +130,27 @@ def semi_empirical_master(theta, noise_eigenvalues, beta, z):
 class EmpiricalMasterEvaluator:
     """Evaluates the empirical master matrix at many z for one sample.
 
-    Diagonalizes the n x n noise Gram matrix once; the m x m companion
-    resolvent is folded through the identity
+    Reads the eigh of the n x n noise Gram matrix (1/m) X X', X V and V'V
+    from the sample's _GramKernel (pass one to share it with the caller;
+    otherwise one is built here). The m x m companion resolvent is folded
+    through the identity
     ((1/m) X'X - z)^{-1} = -(1/z) (I_m - (1/m) X' ((1/m) XX' - z)^{-1} X),
     so each evaluation costs O(n r^2).
     """
 
-    def __init__(self, sample):
+    def __init__(self, sample, kernel=None):
         if sample.r < 1:
             raise ValidationError("empirical master matrix needs r >= 1")
         self.theta = _check_theta(sample.theta)
         self.beta = sample.beta
-        w, q = np.linalg.eigh(sample_covariance(sample.X))
-        self.noise_eigenvalues = w[::-1].copy()
+        if kernel is None:
+            kernel = _GramKernel.of(sample)
+        w, q = kernel.noise_eigh
+        self.noise_eigenvalues = kernel.noise_eigenvalues
         self._w = w
-        self._pu = q.T @ sample.U                                  # n x r
-        self._py = q.T @ (sample.X @ sample.V) / math.sqrt(sample.m)  # n x r
-        self._vv = sample.V.T @ sample.V                           # r x r
+        self._pu = q.T @ sample.U                               # n x r
+        self._py = q.T @ kernel.XV / math.sqrt(sample.m)        # n x r
+        self._vv = kernel.VV                                    # r x r
 
     def __call__(self, z):
         zc = complex(z)
@@ -221,27 +228,30 @@ def _contour_clear(noise_eigenvalues, center, radius):
 def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     """Winding-number certificates for every above-threshold spike.
 
-    Each contour is a circle of radius n^(-ell) * sqrt(beta) around the
-    predicted outlier location; a certificate holds when the determinant of
-    the empirical master matrix has winding number exactly 1. Also reports
-    the rank-matched empirical eigenvalue and its gap in sqrt(beta) units.
+    Spikes are those of the realised signal U diag(theta) V': its singular
+    values (for one spike theta |u| |v|, which for i.i.d. signal vectors
+    moves off theta by O(n^(-1/2))) decide which spikes are above threshold
+    and where their outliers should sit. Each contour is a circle of radius
+    n^(-ell) * sqrt(beta) around that location; a certificate holds when the
+    determinant of the empirical master matrix has winding number exactly 1.
+    Also reports the rank-matched empirical eigenvalue and its gap in
+    sqrt(beta) units.
     """
     if not 0.0 < ell < 0.25:
         raise ValidationError("ell must lie in (0, 1/4)")
     if sample.r == 0:
         return []
     beta = sample.beta
-    supercritical = [p for p in predict(sample.theta / beta ** 0.25, beta)
-                     if p.above_threshold]
-    if not supercritical:
+    kernel = _GramKernel.of(sample)
+    strengths = [s for s in kernel.signal_strengths() if s / beta ** 0.25 > 1.0]
+    if not strengths:
         return []
 
-    evaluator = EmpiricalMasterEvaluator(sample)
-    spectrum = top_spectrum(sample.X_tilde, k=1)
+    evaluator = EmpiricalMasterEvaluator(sample, kernel)
     base_radius = sample.n ** (-ell) * math.sqrt(beta)
     certificates = []
-    for i, pred in enumerate(supercritical):
-        center = pred.lambda_bar
+    for i, strength in enumerate(strengths):
+        center = spike_eigenvalue_location(strength, beta)
         winding = None
         last_error = None
         for factor in (1.0, 0.85, 0.7):
@@ -258,7 +268,7 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
             raise CertificationError(
                 f"no admissible contour around spike {i} at {center:.6g}"
             ) from last_error
-        lam = float(spectrum.eigenvalues[i])
+        lam = float(kernel.eigenvalues[i])
         certificates.append(
             RootCertificate(
                 spike_index=i,

@@ -25,13 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .predictions import above_threshold_count, spike_eigenvalue_location
-from .spectra import (
-    covariance_eigenvalues,
-    empirical_stieltjes,
-    overlap_matrix,
-    right_projection_energy,
-    top_spectrum,
-)
+from .spectra import _GramKernel, empirical_stieltjes
 
 __all__ = [
     "TrialRecord",
@@ -155,14 +149,16 @@ def run_trial(config, trial_index, measure_stieltjes=False,
     if truncate_noise:
         sample = assemble_spiked(sample.U, sample.V, sample.theta,
                                  truncate_normalize(sample.X), config=config)
+    # One set of sufficient statistics serves the spectrum, the overlaps and
+    # both noise measurements.
+    kernel = _GramKernel.of(sample)
     beta = sample.beta
     sqrt_beta = math.sqrt(beta)
     r = sample.r
     i0 = above_threshold_count(config.taus) if r else 0
+    eigenvalues = kernel.eigenvalues
 
     if r:
-        spectrum = top_spectrum(sample.X_tilde, k=r)
-        eigenvalues = spectrum.eigenvalues
         lambda_emp = eigenvalues[:r].copy()
         lam_bar = np.full(r, np.nan)
         for i in range(i0):
@@ -170,16 +166,12 @@ def run_trial(config, trial_index, measure_stieltjes=False,
         centered_err = np.abs(lambda_emp - lam_bar) / sqrt_beta
         # Cosines against unit-normalized signal vectors, so overlaps stay in
         # [0, 1] even when iid signal columns have norm != 1 at finite n.
-        u_unit = sample.U / np.linalg.norm(sample.U, axis=0)
-        v_unit = sample.V / np.linalg.norm(sample.V, axis=0)
-        u_ov = np.abs(overlap_matrix(u_unit, spectrum.left_vectors))
-        v_ov = np.abs(overlap_matrix(v_unit, spectrum.right_vectors))
+        u_ov, v_ov = (np.abs(c) for c in kernel.signal_cosines(r))
         u_overlap = np.diag(u_ov).copy()
         v_overlap = np.diag(v_ov).copy()
         u_cross = _cross_max(u_ov)
         v_cross = _cross_max(v_ov)
     else:
-        eigenvalues = covariance_eigenvalues(sample.X_tilde)
         lambda_emp = lam_bar = centered_err = np.zeros(0)
         u_overlap = v_overlap = u_cross = v_cross = np.zeros(0)
 
@@ -187,11 +179,11 @@ def run_trial(config, trial_index, measure_stieltjes=False,
 
     stieltjes_dev = None
     if measure_stieltjes:
-        stieltjes_dev = _stieltjes_deviation(sample.X).value
+        stieltjes_dev = _stieltjes_deviation(kernel).value
 
     proj_energy = None
     if measure_projection:
-        proj_energy = _projection_energy(sample.X, config.seed, trial_index)
+        proj_energy = _projection_energy(kernel, config.seed, trial_index)
 
     return TrialRecord(
         n=sample.n, m=sample.m, beta=beta, taus=config.taus,
@@ -349,27 +341,28 @@ class ProjectionEnergy(NamedTuple):
     ratio_beta_log: float  # energy / (beta * log n)
 
 
-# Noise-only measurements, shared by run_trial and the rate experiments.
-def _noise(config, trial_index):
-    return sample_noise(config.n, config.m, config.noise_family,
-                        stream(config.seed, "noise", trial_index))
+# Noise-only measurements on a _GramKernel, shared by run_trial and the rate
+# experiments: both read the kernel's one eigh of (1/m) X X'.
+def _noise_kernel(config, trial_index):
+    return _GramKernel(sample_noise(config.n, config.m, config.noise_family,
+                                    stream(config.seed, "noise", trial_index)))
 
 
-def _stieltjes_deviation(x, u_offset=0.0):
-    n, m = x.shape
+def _stieltjes_deviation(kernel, u_offset=0.0):
+    n, m = kernel.n, kernel.m
     beta = n / m
     sqrt_beta = math.sqrt(beta)
     center = 1.0 + (2.0 + PROBE_ETA) * sqrt_beta + u_offset * sqrt_beta
-    eigs = covariance_eigenvalues(x)
+    eigs = kernel.noise_eigenvalues
     dev, _ = probe_deviation(eigs, beta, center, n ** -0.25 * sqrt_beta)
     _, ddev = probe_deviation(eigs, beta, center, n ** -0.125 * sqrt_beta)
     return StieltjesDeviation(dev * sqrt_beta, ddev * beta)
 
 
-def _projection_energy(x, seed, trial_index):
-    m = x.shape[1]
+def _projection_energy(kernel, seed, trial_index):
+    m = kernel.m
     v = stream(seed, "probe", trial_index).standard_normal(m)
-    return right_projection_energy(x, v / math.sqrt(m))
+    return kernel.projection_energy(v / math.sqrt(m))
 
 
 def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0):
@@ -379,7 +372,7 @@ def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0):
     u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); see StieltjesDeviation
     for the radii and scalings. Both read as "should decay like n^(-ell)".
     """
-    return _stieltjes_deviation(_noise(config, trial_index), u_offset)
+    return _stieltjes_deviation(_noise_kernel(config, trial_index), u_offset)
 
 
 def projection_energy_experiment(config, trial_index=0):
@@ -389,7 +382,7 @@ def projection_energy_experiment(config, trial_index=0):
     ‖W'v‖^2 against its expected size beta and the beta*log(n) envelope.
     """
     beta = config.n / config.m
-    energy = _projection_energy(_noise(config, trial_index), config.seed, trial_index)
+    energy = _projection_energy(_noise_kernel(config, trial_index), config.seed, trial_index)
     return ProjectionEnergy(energy, energy / beta, energy / (beta * math.log(config.n)))
 
 

@@ -7,6 +7,7 @@ m x m one), which is the cheap side at extreme aspect ratios.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,23 +64,121 @@ def top_spectrum(X_tilde, k):
     the singular decomposition intact).
     """
     X_tilde = np.asarray(X_tilde, dtype=float)
-    n, m = X_tilde.shape
-    if not 1 <= k <= n:
-        raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
-    w, q = np.linalg.eigh(sample_covariance(X_tilde))
-    eigenvalues = np.maximum(w[::-1], 0.0)
-    left = q[:, ::-1][:, :k].copy()
-    if eigenvalues[k - 1] <= RANK_TOL * eigenvalues[0]:
-        raise NumericalError("requested singular triples below numerical rank")
-    sigma = np.sqrt(eigenvalues[:k])
-    right = (X_tilde.T @ left) / (np.sqrt(m) * sigma)
-    for j in range(k):
-        i_max = np.argmax(np.abs(left[:, j]))
-        if left[i_max, j] < 0:
-            left[:, j] = -left[:, j]
-            right[:, j] = -right[:, j]
-    return SpectralSummary(eigenvalues=eigenvalues, left_vectors=left,
+    kernel = _GramKernel(X_tilde)
+    left, sigma = kernel.top(k)
+    right = (X_tilde.T @ left) / (np.sqrt(kernel.m) * sigma)
+    return SpectralSummary(eigenvalues=kernel.eigenvalues, left_vectors=left,
                            right_vectors=right, k=k)
+
+
+class _GramKernel:
+    """Sufficient statistics of one observed X_tilde = X + sqrt(m) U diag(theta) V'.
+
+    Each statistic is computed on first use and kept: the noise Gram
+    G = (1/m) X X' and its eigh, X V and V'V. The observed Gram is the
+    rank-2r update (1/m) X_tilde X_tilde' = G + T + T' with
+    T = (X V / sqrt(m) + U Theta (V'V) / 2) (U Theta)', exactly symmetric, so
+    X_tilde is never formed. Without signal factors the observed Gram is G and
+    shares its eigh.
+    """
+
+    def __init__(self, X, U=None, theta=None, V=None):
+        n, m = X.shape
+        self.X = X
+        self.n, self.m = n, m
+        self.theta = np.zeros(0) if theta is None else theta
+        self.U = np.zeros((n, 0)) if U is None else U
+        self.V = np.zeros((m, 0)) if V is None else V
+        self.r = self.theta.shape[0]
+
+    @classmethod
+    def of(cls, sample):
+        return cls(sample.X, sample.U, sample.theta, sample.V)
+
+    @cached_property
+    def G(self):
+        return sample_covariance(self.X)
+
+    @cached_property
+    def XV(self):
+        return self.X @ self.V
+
+    @cached_property
+    def VV(self):
+        return self.V.T @ self.V
+
+    @cached_property
+    def noise_eigh(self):
+        """Ascending (w, q) of G."""
+        return np.linalg.eigh(self.G)
+
+    @cached_property
+    def noise_eigenvalues(self):
+        """Eigenvalues of G, descending, tiny negatives clamped to 0."""
+        return np.maximum(self.noise_eigh[0][::-1], 0.0)
+
+    @cached_property
+    def _observed_eigh(self):
+        if not self.r:
+            return self.noise_eigh
+        a = self.U * self.theta
+        t = (self.XV / np.sqrt(self.m) + a @ (self.VV / 2.0)) @ a.T
+        return np.linalg.eigh(self.G + (t + t.T))
+
+    @cached_property
+    def eigenvalues(self):
+        """Eigenvalues of (1/m) X_tilde X_tilde', descending, tiny negatives clamped to 0."""
+        if not self.r:
+            return self.noise_eigenvalues
+        return np.maximum(self._observed_eigh[0][::-1], 0.0)
+
+    def top(self, k):
+        """(left, sigma): top-k left singular vectors of X_tilde, sign-fixed, and
+        sigma_i = sqrt(lambda_i). Raises below the numerical rank."""
+        if not 1 <= k <= self.n:
+            raise ValidationError(f"need 1 <= k <= n, got k={k}, n={self.n}")
+        eigenvalues = self.eigenvalues
+        if eigenvalues[k - 1] <= RANK_TOL * eigenvalues[0]:
+            raise NumericalError("requested singular triples below numerical rank")
+        left = self._observed_eigh[1][:, ::-1][:, :k].copy()
+        # The largest-magnitude coordinate of each u_i is made positive.
+        flip = left[np.argmax(np.abs(left), axis=0), np.arange(k)] < 0
+        left[:, flip] = -left[:, flip]
+        return left, np.sqrt(eigenvalues[:k])
+
+    def signal_cosines(self, k):
+        """(u_cos, v_cos), r x k: cosines of the unit signal vectors with the top-k
+        left and right singular vectors.
+
+        The right vectors v_i = X_tilde' u_i / (sqrt(m) sigma_i), with
+        X_tilde' u = X' u + sqrt(m) V Theta U' u, are not formed: only
+        V' v_i = ((X V)' u_i / sqrt(m) + (V'V) Theta U' u_i) / sigma_i is, and
+        |v_j| = sqrt((V'V)_jj).
+        """
+        left, sigma = self.top(k)
+        u_cos = overlap_matrix(self.U / np.linalg.norm(self.U, axis=0), left)
+        v_in = (self.XV.T @ left / np.sqrt(self.m)
+                + self.VV @ (self.theta[:, None] * (self.U.T @ left))) / sigma
+        return u_cos, v_in / np.sqrt(np.diag(self.VV))[:, None]
+
+    def signal_strengths(self):
+        """Singular values of U diag(theta) V', descending.
+
+        They are those of R_U Theta R_V' with U = Q_U R_U and V = Q_V R_V; the
+        R factors come from Cholesky factors of U'U and V'V. For one spike
+        this is theta |u| |v|.
+        """
+        r_u = np.linalg.cholesky(self.U.T @ self.U).T
+        r_v = np.linalg.cholesky(self.VV).T
+        return np.linalg.svd((r_u * self.theta) @ r_v.T, compute_uv=False)
+
+    def projection_energy(self, v):
+        """v' X' (X X')^{-1} X v from the eigh of G; raises below full row rank."""
+        w, q = self.noise_eigh
+        if w[0] <= RANK_TOL * w[-1]:
+            raise NumericalError("X is (numerically) rank deficient")
+        y = q.T @ (self.X @ v)
+        return float(np.sum(y * y / w)) / self.m
 
 
 def empirical_stieltjes(eigenvalues, z):
@@ -125,9 +224,4 @@ def right_projection_energy(X, v):
         raise ValidationError("need n <= m (wide input)")
     if v.shape != (m,):
         raise ValidationError(f"v must have length m={m}")
-    g = X @ X.T
-    w, q = np.linalg.eigh(g)
-    if w[0] <= RANK_TOL * w[-1]:
-        raise NumericalError("X is (numerically) rank deficient")
-    y = q.T @ (X @ v)
-    return float(np.sum(y * y / w))
+    return _GramKernel(X).projection_energy(v)

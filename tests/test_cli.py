@@ -173,6 +173,14 @@ class TestVerify:
         assert all(c["winding"] == 1 for c in certs)
 
 
+    def test_default_flags_certify(self, capsys, tmp_path):
+        # i.i.d. signal vectors at the defaults (n=300, m=30000, tau=2, ell=0.2):
+        # contours centred on the realised strength theta |u| |v| catch the
+        # outlier; centred on the nominal theta, draw 0 of seed 1 misses it.
+        code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert out.count("PASS certificate") == 3
+
     def test_uncertifiable_spike_is_numerical_failure(self, capsys, tmp_path):
         # Near-critical spike: the contour around the predicted location
         # provably swallows bulk eigenvalues, so certification must abort.
@@ -180,6 +188,37 @@ class TestVerify:
                                "--taus", "1.05", "--draws", "1",
                                "--seed", str(SEED), "--out-dir", str(tmp_path))
         assert code == 2
+
+
+class TestSpikeList:
+    SMALL = {
+        "simulate": ("--n", "20", "--m", "200", "--trials", "1"),
+        "predict": (),
+        "sweep": ("--n-values", "20", "--beta-c", "0.1", "--beta-alpha", "0",
+                  "--trials", "1"),
+        "verify": ("--n", "20", "--m", "200", "--draws", "1"),
+    }
+
+    @pytest.mark.parametrize("taus", ["", "2,,1.2", "2,"])
+    @pytest.mark.parametrize("verb", sorted(SMALL))
+    def test_empty_spike_is_validation_error(self, capsys, tmp_path, verb, taus):
+        code, _, err = run_cli(capsys, verb, *self.SMALL[verb], "--taus", taus,
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("validation error:") and "'taus'" in err
+
+    def test_empty_config_list_is_validation_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        io.write_json(cfg_path, {"taus": []})
+        code, _, err = run_cli(capsys, "predict", "--config", str(cfg_path),
+                               "--out-dir", str(tmp_path))
+        assert code == 1 and err.startswith("validation error:")
+
+    def test_empty_eps_is_the_default(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "simulate", *self.SMALL["simulate"], "--taus", "2",
+                             "--eps", "", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert io.read_json(tmp_path / "metadata.json")["eps"] == []
 
 
 class TestGitDescribe:

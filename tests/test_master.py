@@ -230,6 +230,22 @@ class TestCertifyOutliers:
         assert abs(cert.lambda_emp - cert.center) == pytest.approx(
             cert.centered_gap * math.sqrt(sample.beta), abs=1e-12)
 
+    def test_realised_centre_is_closer_than_nominal(self):
+        # i.i.d. signal vectors: the realised strength theta |u| |v| moves the
+        # outlier off the nominal location; the contour follows it.
+        config = ModelConfig(n=200, m=20000, r=1, taus=(2.0,), seed=SEED)
+        nominal = predictions.predict(config.taus, config.beta)[0].lambda_bar
+        realised_gaps, nominal_gaps = [], []
+        for trial in range(8):
+            sample = sample_model(config, trial)
+            cert = certify_outliers(sample)[0]
+            strength = sample.theta[0] * np.linalg.norm(sample.U) * np.linalg.norm(sample.V)
+            assert cert.center == pytest.approx(
+                predictions.spike_eigenvalue_location(strength, sample.beta), rel=1e-12)
+            realised_gaps.append(abs(cert.lambda_emp - cert.center))
+            nominal_gaps.append(abs(cert.lambda_emp - nominal))
+        assert np.mean(realised_gaps) < np.mean(nominal_gaps)
+
     def test_mixed_ranks_certifies_only_supercritical(self):
         config = ModelConfig(n=120, m=12000, r=2, taus=(2.4, 0.8), seed=SEED,
                              signal_family="orthonormal")

@@ -12,8 +12,9 @@ import pytest
 
 from conftest import SWEEP_BETA, SWEEP_TAUS, SUITE_SEED
 from spikedwide import montecarlo
-from spikedwide.ensemble import ModelConfig
+from spikedwide.ensemble import ModelConfig, SpikedSample, sample_model, stream
 from spikedwide.errors import ExperimentError, PoleError, ValidationError
+from spikedwide.master import certify_outliers
 from spikedwide.montecarlo import (
     BetaSchedule,
     fit_rate,
@@ -26,7 +27,7 @@ from spikedwide.montecarlo import (
     write_trials_csv,
 )
 from spikedwide.predictions import centered_eigenvalue_limit, left_cosine_limit
-from spikedwide.spectra import empirical_stieltjes
+from spikedwide.spectra import empirical_stieltjes, top_spectrum
 
 
 class TestRunTrial:
@@ -38,6 +39,40 @@ class TestRunTrial:
                 rec = run_trial(config, t, measure_stieltjes=True, measure_projection=True)
                 assert rec.stieltjes_dev == stieltjes_deviation_experiment(config, t).value
                 assert rec.proj_energy == projection_energy_experiment(config, t).energy
+
+    def test_fields_match_dense_references(self):
+        # The kernel path against the top spectrum of the formed X_tilde and
+        # the projection formula on the unscaled Gram X X'.
+        config = ModelConfig(n=60, m=3000, r=2, taus=(2.0, 1.2), seed=SUITE_SEED)
+        rec = run_trial(config, 1, measure_projection=True)
+        sample = sample_model(config, 1)
+        ref = top_spectrum(sample.X_tilde, 3)
+        assert rec.lambda_emp == pytest.approx(ref.eigenvalues[:2], rel=1e-12)
+        assert rec.bulk_top == pytest.approx(ref.eigenvalues[2], rel=1e-12)
+        u_unit = sample.U / np.linalg.norm(sample.U, axis=0)
+        v_unit = sample.V / np.linalg.norm(sample.V, axis=0)
+        u_ov = np.abs(u_unit.T @ ref.left_vectors[:, :2])
+        v_ov = np.abs(v_unit.T @ ref.right_vectors[:, :2])
+        assert np.abs(rec.u_overlap - np.diag(u_ov)).max() <= 1e-10
+        assert np.abs(rec.v_overlap - np.diag(v_ov)).max() <= 1e-10
+        assert np.abs(rec.v_cross_max - [v_ov[1, 0], v_ov[0, 1]]).max() <= 1e-10
+        v = stream(SUITE_SEED, "probe", 1).standard_normal(3000) / math.sqrt(3000)
+        w, q = np.linalg.eigh(sample.X @ sample.X.T)
+        y = q.T @ (sample.X @ v)
+        assert rec.proj_energy == pytest.approx(float(np.sum(y * y / w)), rel=1e-10)
+
+    def test_trial_and_certificates_never_form_x_tilde(self, monkeypatch):
+        def formed(sample):
+            raise AssertionError("X_tilde was formed")
+
+        monkeypatch.setattr(SpikedSample, "X_tilde", property(formed))
+        config = ModelConfig(n=120, m=12000, r=2, taus=(2.4, 0.8), seed=SUITE_SEED,
+                             signal_family="orthonormal")
+        for truncate in (False, True):
+            rec = run_trial(config, 0, measure_stieltjes=True, measure_projection=True,
+                            truncate_noise=truncate)
+            assert rec.stieltjes_dev > 0 and rec.proj_energy > 0
+        assert [c.spike_index for c in certify_outliers(sample_model(config))] == [0]
 
     def test_rank_zero(self):
         config = ModelConfig(n=30, m=300, r=0, seed=1)

@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from spikedwide.ensemble import stream
+from spikedwide.ensemble import (
+    ModelConfig,
+    assemble_spiked,
+    sample_model,
+    stream,
+    truncate_normalize,
+)
 from spikedwide.errors import NumericalError, PoleError, ValidationError
 from spikedwide.spectra import (
+    _GramKernel,
+    covariance_eigenvalues,
     empirical_stieltjes,
     overlap_matrix,
     right_projection_energy,
@@ -211,3 +219,64 @@ class TestRightProjectionEnergy:
         x[3] = x[0] + x[1]
         with pytest.raises(NumericalError):
             right_projection_energy(x, np.ones(9))
+
+
+def _gram_projection_energy(x, v):
+    """The direct formula: eigh of the unscaled Gram X X', then y' diag(1/w) y."""
+    w, q = np.linalg.eigh(x @ x.T)
+    y = q.T @ (x @ v)
+    return float(np.sum(y * y / w))
+
+
+def _match_signs(got, want):
+    return got * np.sign(np.sum(got * want, axis=0))
+
+
+class TestGramKernel:
+    """The sufficient-statistics kernel against references built from X_tilde and X."""
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("family", ["gaussian_iid", "orthonormal"])
+    @pytest.mark.parametrize("taus", [(), (2.0,), (3.0, 2.0, 0.8)])
+    def test_matches_dense_references(self, taus, family, truncate):
+        config = ModelConfig(n=60, m=3000, r=len(taus), taus=taus, signal_family=family,
+                             noise_family="student_t8", seed=SEED)
+        sample = sample_model(config, 2)
+        if truncate:
+            sample = assemble_spiked(sample.U, sample.V, sample.theta,
+                                     truncate_normalize(sample.X), config=config)
+        kernel = _GramKernel.of(sample)
+        k = max(sample.r, 1)
+        ref = top_spectrum(sample.X_tilde, k)
+
+        def rel(got, want):
+            return np.max(np.abs(got - want) / np.abs(want))
+
+        assert rel(kernel.eigenvalues, ref.eigenvalues) <= 1e-12
+        assert rel(kernel.noise_eigenvalues, covariance_eigenvalues(sample.X)) <= 1e-12
+        left, sigma = kernel.top(k)
+        assert np.abs(_match_signs(left, ref.left_vectors) - ref.left_vectors).max() <= 1e-10
+        assert sigma == pytest.approx(np.sqrt(ref.eigenvalues[:k]), rel=1e-12)
+        v = stream(SEED, "probe").standard_normal(sample.m) / math.sqrt(sample.m)
+        assert kernel.projection_energy(v) == pytest.approx(
+            _gram_projection_energy(sample.X, v), rel=1e-10)
+        if sample.r:
+            u_cos, v_cos = kernel.signal_cosines(sample.r)
+            u_unit = sample.U / np.linalg.norm(sample.U, axis=0)
+            v_unit = sample.V / np.linalg.norm(sample.V, axis=0)
+            assert np.abs(np.abs(u_cos) - np.abs(u_unit.T @ ref.left_vectors)).max() <= 1e-10
+            assert np.abs(np.abs(v_cos) - np.abs(v_unit.T @ ref.right_vectors)).max() <= 1e-10
+            signal = (sample.U * sample.theta) @ sample.V.T
+            want = np.linalg.svd(signal, compute_uv=False)[:sample.r]
+            assert rel(kernel.signal_strengths(), want) <= 1e-12
+
+    def test_one_spike_strength_is_theta_times_norms(self):
+        config = ModelConfig(n=40, m=800, r=1, taus=(2.0,), seed=SEED)
+        sample = sample_model(config)
+        want = sample.theta[0] * np.linalg.norm(sample.U) * np.linalg.norm(sample.V)
+        assert _GramKernel.of(sample).signal_strengths()[0] == pytest.approx(want, rel=1e-13)
+
+    def test_noise_only_kernel_shares_one_eigh(self):
+        x = stream(SEED, "noise").standard_normal((20, 400))
+        kernel = _GramKernel(x)
+        assert kernel.eigenvalues is kernel.noise_eigenvalues
