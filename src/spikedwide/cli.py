@@ -157,14 +157,8 @@ def _effective_config(args):
     return config
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def _write_metadata(out_dir, verb, config):
-    payload = {k: _jsonable(v) for k, v in config.items()}
+    payload = dict(config)
     payload["verb"] = verb
     payload["version"] = __version__
     payload["git_describe"] = _git_describe()

@@ -54,7 +54,9 @@ def _noise_drawer(family):
     if family == "gaussian":
         return lambda rng, shape: rng.standard_normal(shape)
     if family == "rademacher":
-        return lambda rng, shape: rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        # int32 draws the same bits as the default int64 at half the transient size.
+        return lambda rng, shape: (rng.integers(0, 2, size=shape, dtype=np.int32)
+                                   .astype(float) * 2.0 - 1.0)
     if family.startswith("student_t"):
         try:
             df = int(family[len("student_t"):])

@@ -50,14 +50,7 @@ class EstimationReport:
     tie_warning: bool = False
 
     def to_dict(self):
-        return {
-            "beta": self.beta,
-            "edge": self.edge,
-            "outliers": [o.to_dict() for o in self.outliers],
-            "subcritical_count": self.subcritical_count,
-            "transposed": self.transposed,
-            "tie_warning": self.tie_warning,
-        }
+        return asdict(self)
 
 
 def detect_outliers(eigenvalues, beta, eta=DEFAULT_ETA):

@@ -16,7 +16,7 @@ sample; neither forms X_tilde.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,15 +70,7 @@ class RootCertificate:
     centered_gap: float  # |lambda_emp - center| / sqrt(beta)
 
     def to_dict(self):
-        return {
-            "spike_index": self.spike_index,
-            "center": self.center,
-            "radius": self.radius,
-            "winding": self.winding,
-            "certified": self.certified,
-            "lambda_emp": self.lambda_emp,
-            "centered_gap": self.centered_gap,
-        }
+        return asdict(self)
 
 
 def _check_theta(theta):
@@ -90,23 +82,27 @@ def _check_theta(theta):
     return theta
 
 
-def _assemble(a, c, d, theta, z, beta, kind):
-    """Lay out [[A, diag(1/theta) + C], [(diag(1/theta) + C)', D]] from r x r blocks."""
+def _layout(a, c, d, theta):
+    """Lay out [[A, diag(1/theta) + C], [(diag(1/theta) + C)', D]] from r x r blocks.
+
+    Blocks may be stacked along leading axes (one matrix per contour node).
+    """
     r = theta.shape[0]
     off = c + np.diag(1.0 / theta)
-    m2 = np.empty((2 * r, 2 * r), dtype=complex)
-    m2[:r, :r] = a
-    m2[:r, r:] = off
-    m2[r:, :r] = off.T
-    m2[r:, r:] = d
-    return MasterMatrix(entries=m2, kind=kind, z=complex(z), beta=beta, theta=theta)
+    m2 = np.empty(off.shape[:-2] + (2 * r, 2 * r), dtype=complex)
+    m2[..., :r, :r] = a
+    m2[..., :r, r:] = off
+    m2[..., r:, :r] = np.swapaxes(off, -1, -2)
+    m2[..., r:, r:] = d
+    return m2
 
 
 def _scalar_master(s, theta, z, beta, kind):
     sz = cmath.sqrt(complex(z))
     a = np.diag(np.full(len(theta), sz * s))
     d = np.diag(np.full(len(theta), beta * sz * s - (1.0 - beta) / sz))
-    return _assemble(a, 0.0, d, theta, z, beta, kind)
+    return MasterMatrix(entries=_layout(a, 0.0, d, theta), kind=kind, z=complex(z),
+                        beta=beta, theta=theta)
 
 
 def deterministic_master(theta, beta, z):
@@ -128,14 +124,16 @@ def semi_empirical_master(theta, noise_eigenvalues, beta, z):
 
 
 class EmpiricalMasterEvaluator:
-    """Evaluates the empirical master matrix at many z for one sample.
+    """Evaluates the empirical master matrix at one z or at a whole array of z.
 
     Reads the eigh of the n x n noise Gram matrix (1/m) X X', X V and V'V
     from the sample's _GramKernel (pass one to share it with the caller;
     otherwise one is built here). The m x m companion resolvent is folded
     through the identity
     ((1/m) X'X - z)^{-1} = -(1/z) (I_m - (1/m) X' ((1/m) XX' - z)^{-1} X),
-    so each evaluation costs O(n r^2).
+    so the resolvent forms are those of P = Q' [U | X V / sqrt(m)] in the
+    diagonal 1 / (w - z): at any array of z, one product (1 / (w - z)) @ T
+    with the n x (2r)^2 table T of products P_ki P_kj, built once.
     """
 
     def __init__(self, sample, kernel=None):
@@ -148,24 +146,30 @@ class EmpiricalMasterEvaluator:
         w, q = kernel.noise_eigh
         self.noise_eigenvalues = kernel.noise_eigenvalues
         self._w = w
-        self._pu = q.T @ sample.U                               # n x r
-        self._py = q.T @ kernel.XV / math.sqrt(sample.m)        # n x r
-        self._vv = kernel.VV                                    # r x r
+        p = q.T @ np.hstack([sample.U, kernel.XV / math.sqrt(sample.m)])   # n x 2r
+        self._table = (p[:, :, None] * p[:, None, :]).reshape(len(w), -1)
+        self._vv = kernel.VV                                                # r x r
+
+    def _entries(self, z):
+        """The 2r x 2r entries at z, stacked along the leading axes of z."""
+        z = np.asarray(z, dtype=complex)
+        diff = self._w - z[..., None]
+        if np.min(np.abs(diff)) <= 1e-12:
+            raise PoleError("z within 1e-12 of a noise eigenvalue")
+        r = self.theta.shape[0]
+        forms = ((1.0 / diff) @ self._table).reshape(z.shape + (2 * r, 2 * r))
+        sz = np.sqrt(z)[..., None, None]
+        return _layout(sz * forms[..., :r, :r], forms[..., :r, r:],
+                       (forms[..., r:, r:] - self._vv) / sz, self.theta)
 
     def __call__(self, z):
-        zc = complex(z)
-        if np.min(np.abs(self._w - zc)) <= 1e-12:
-            raise PoleError(f"z={z} within 1e-12 of a noise eigenvalue")
-        g = 1.0 / (self._w - zc)
-        r11 = self._pu.T @ (g[:, None] * self._pu)
-        r12 = self._pu.T @ (g[:, None] * self._py)
-        r22 = self._py.T @ (g[:, None] * self._py)
-        sz = cmath.sqrt(zc)
-        return _assemble(sz * r11, r12, -(self._vv - r22) / sz,
-                         self.theta, zc, self.beta, "empirical")
+        return MasterMatrix(entries=self._entries(z), kind="empirical", z=complex(z),
+                            beta=self.beta, theta=self.theta)
 
     def det(self, z):
-        return self(z).det()
+        """det of the master matrix at z: a complex for one z, an array for an array."""
+        d = np.linalg.det(self._entries(z))
+        return complex(d) if np.ndim(d) == 0 else d
 
 
 def empirical_master(sample, z):
@@ -192,30 +196,30 @@ def rescale_blocks(master):
 def winding_count(f, center, radius, nodes=DEFAULT_NODES):
     """Number of zeros of f inside the circle, by discrete argument tracking.
 
-    Accumulates the wrapped phase increments of f around equally spaced
-    contour nodes. Requires no (near-)zeros of f on the contour and a total
-    winding within 0.1 of an integer; node-doubling is the caller's
-    consistency check.
+    Calls f once, on an array of 2 * nodes equally spaced contour points.
+    The wrapped phase increments are summed over all of them and over every
+    other one; both sums must lie within 0.1 of the same integer (node
+    doubling, Delves & Lyness 1967) and f must not (nearly) vanish on the
+    contour, or CertificationError is raised.
     """
     if nodes < 64:
         raise ValidationError("need at least 64 contour nodes")
     if radius <= 0:
         raise ValidationError("radius must be positive")
-    angles = 2.0 * math.pi * np.arange(nodes) / nodes
-    vals = np.array([complex(f(center + radius * cmath.exp(1j * a))) for a in angles])
+    angles = 2.0 * math.pi * np.arange(2 * nodes) / (2 * nodes)
+    vals = np.asarray(f(center + radius * np.exp(1j * angles)), dtype=complex)
     mags = np.abs(vals)
     if np.min(mags) <= 1e-12 * np.max(mags):
         raise CertificationError("f vanishes (numerically) on the contour")
-    phases = np.angle(vals)
-    steps = np.diff(np.concatenate([phases, phases[:1]]))
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-    total = steps.sum() / (2.0 * math.pi)
-    nearest = round(total)
-    if abs(total - nearest) > 0.1:
+    fine, coarse = (np.angle(np.roll(v, -1) / v).sum() / (2.0 * math.pi)
+                    for v in (vals, vals[::2]))
+    count = round(fine)
+    if abs(fine - count) > 0.1 or abs(coarse - count) > 0.1:
         raise CertificationError(
-            f"winding sum {total:.4f} is not close to an integer; refine the contour"
+            f"winding sums {fine:.4f} ({2 * nodes} nodes) and {coarse:.4f} ({nodes} "
+            "nodes) are not both close to one integer; refine the contour"
         )
-    return int(nearest)
+    return int(count)
 
 
 def _contour_clear(noise_eigenvalues, center, radius):

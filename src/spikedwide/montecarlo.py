@@ -128,10 +128,8 @@ class ExperimentReport:
             "schedule": self.schedule,
             "trial_count": self.trial_count,
             "failed_count": self.failed_count,
-            "per_spike": [
-                {k: list(v) for k, v in spike.items()} for spike in self.per_spike
-            ],
-            "scalars": {k: list(v) for k, v in self.scalars.items()},
+            "per_spike": self.per_spike,
+            "scalars": self.scalars,
         }
 
 

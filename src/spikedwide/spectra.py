@@ -36,9 +36,6 @@ class SpectralSummary:
     right_vectors: np.ndarray  # m x k
     k: int
 
-    def to_dict(self):
-        return {"eigenvalues": self.eigenvalues.tolist(), "k": self.k}
-
 
 def sample_covariance(X):
     """(1/m) X X', symmetrized exactly."""

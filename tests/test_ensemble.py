@@ -1,6 +1,7 @@
 """Model sampling: calibration, signal/noise draws, assembly, truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ class TestNoise:
         assert set(np.unique(x)) == {-1.0, 1.0}
         assert np.all(x * x == 1.0)  # fourth moment exactly 1
         assert abs(x.mean()) < 0.05
+
+    def test_rademacher_draw_is_the_int64_draw_at_lower_peak(self):
+        shape = (333, 1001)
+        old = (stream(SEED, "noise").integers(0, 2, size=shape).astype(float)
+               * 2.0 - 1.0)
+        tracemalloc.start()
+        try:
+            x = sample_noise(*shape, "rademacher", stream(SEED, "noise"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.tobytes() == old.tobytes()
+        assert peak <= 1.6 * x.nbytes, f"peak {peak / x.nbytes:.2f} x X.nbytes"
 
     def test_student_t(self):
         x = sample_noise(400, 400, "student_t8", stream(SEED, "noise"))

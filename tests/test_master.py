@@ -131,6 +131,18 @@ class TestEmpiricalMaster:
             resid = np.linalg.norm(evaluator(spectrum.eigenvalues[i]).entries @ w)
             assert resid < 1e-6
 
+    @pytest.mark.parametrize("taus", [(2.0,), (3.0, 2.0, 1.5)])
+    def test_array_det_matches_one_z_at_a_time(self, taus):
+        config = ModelConfig(n=40, m=400, r=len(taus), taus=taus, seed=SEED)
+        evaluator = EmpiricalMasterEvaluator(sample_model(config))
+        top = evaluator.noise_eigenvalues[0]
+        for zs in (np.linspace(top + 0.1, top + 3.0, 7),
+                   top + 0.5 + 0.4 * np.exp(1j * np.linspace(0.0, 6.0, 9))):
+            got = evaluator.det(zs)
+            want = np.array([evaluator(z).det() for z in zs])
+            assert got.shape == zs.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
     def test_pole_detection(self):
         config = ModelConfig(n=5, m=8, r=1, taus=(1.5,), seed=3)
         sample = sample_model(config)
@@ -183,6 +195,22 @@ class TestWindingCount:
     def test_node_minimum(self):
         with pytest.raises(ValidationError):
             winding_count(lambda z: z, 0.0, 1.0, 32)
+
+    def test_one_call_on_doubled_nodes(self):
+        calls = []
+
+        def f(z):
+            calls.append(np.shape(z))
+            return z - 0.3
+
+        assert winding_count(f, 0.3, 0.5, 64) == 1
+        assert calls == [(128,)]
+
+    def test_node_doubling_refuses_a_coarse_contour(self):
+        # At 64 nodes z^40 turns 1.25 pi per step and reads as winding -24;
+        # the 128 doubled nodes see 40, so no count is returned.
+        with pytest.raises(CertificationError):
+            winding_count(lambda z: z ** 40, 0.0, 1.0, 64)
 
     def test_node_doubling_on_empirical_determinant(self):
         config = ModelConfig(n=80, m=4000, r=1, taus=(2.0,), seed=SEED,

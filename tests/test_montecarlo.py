@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SWEEP_BETA, SWEEP_TAUS, SUITE_SEED
+from conftest import SUITE_SEED, SWEEP_BETA, SWEEP_N, SWEEP_TAUS, SWEEP_TRIALS
 from spikedwide import montecarlo
 from spikedwide.ensemble import ModelConfig, SpikedSample, sample_model, stream
 from spikedwide.errors import ExperimentError, PoleError, ValidationError
@@ -26,7 +26,11 @@ from spikedwide.montecarlo import (
     sweep,
     write_trials_csv,
 )
-from spikedwide.predictions import centered_eigenvalue_limit, left_cosine_limit
+from spikedwide.predictions import (
+    centered_eigenvalue_limit,
+    left_cosine_limit,
+    proportional_reference,
+)
 from spikedwide.spectra import empirical_stieltjes, top_spectrum
 
 
@@ -304,6 +308,40 @@ class TestPhaseTransitionSweep:
         for tau in SWEEP_TAUS:
             mean = tau_sweep_reports[tau].scalars["bulk_top"].mean
             assert abs((mean - 1.0) / (2.0 * math.sqrt(SWEEP_BETA)) - 1.0) <= 0.15
+
+
+class TestRightOverlapScale:
+    """The right overlap along the disproportional ladder beta_n = 1/n (m = n^2).
+
+    The paper's headline: the long-side singular vector decorrelates from the
+    signal as beta -> 0, on a scale that moves with beta (v^2 ~ sqrt(beta) at
+    fixed tau). Each mean v^2 is compared with the fixed-beta reference of
+    proportional_reference, and the mean overlap must fall in n. The band
+    1 +/- 0.15 is pinned from pilot seeds 1..5 (50 trials each), whose ratios
+    were 0.955..1.062, with standard deviations across seeds of 0.039, 0.029
+    and 0.011 at n = 50, 100, 200. n = 400 is left out: X alone is 512 MB.
+    """
+
+    TAU = 1.6
+
+    def test_ratio_to_reference_and_decay(self, tau_sweep_reports):
+        assert SWEEP_BETA == 1.0 / SWEEP_N  # the sweep's n = 200 point is on the ladder
+        ratios, means = {}, {}
+        for n in (50, 100, SWEEP_N):
+            if n == SWEEP_N:
+                report = tau_sweep_reports[self.TAU]
+            else:
+                config = ModelConfig(n=n, m=n * n, r=1, taus=(self.TAU,), seed=SUITE_SEED)
+                report = run_experiment(config, trials=SWEEP_TRIALS)
+            beta = 1.0 / n
+            v = np.array([rec.v_overlap[0] for rec in report.records])
+            _, _, v_sq_ref = proportional_reference(self.TAU * beta ** 0.25, beta)
+            ratios[n] = np.mean(v ** 2) / v_sq_ref
+            means[n] = report.per_spike[0]["v_overlap"].mean
+        for n, ratio in ratios.items():
+            assert abs(ratio - 1.0) <= 0.15, f"n={n}: mean v^2 / v^2_ref = {ratio:.4f}"
+        slope = fit_rate(means.items())
+        assert slope < 0, f"mean v_overlap {means} does not decay in n (slope {slope:.3f})"
 
 
 class TestCsvOutput:
