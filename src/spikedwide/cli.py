@@ -281,7 +281,10 @@ def _cmd_verify(cfg, out_dir):
     for draw in range(cfg["draws"]):
         config = _model_config(cfg, cfg["n"], cfg["m"])
         sample = sample_model(config, trial_index=draw)
-        certs = certify_outliers(sample, ell=cfg["ell"], nodes=cfg["nodes"])
+        try:
+            certs = certify_outliers(sample, ell=cfg["ell"], nodes=cfg["nodes"])
+        except CertificationError as exc:
+            raise CertificationError(f"draw {draw}: {exc}") from exc
         for cert in certs:
             rows.append({"draw": draw, **cert.to_dict()})
             all_certified = all_certified and cert.certified

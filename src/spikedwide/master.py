@@ -216,8 +216,8 @@ def winding_count(f, center, radius, nodes=DEFAULT_NODES):
     count = round(fine)
     if abs(fine - count) > 0.1 or abs(coarse - count) > 0.1:
         raise CertificationError(
-            f"winding sums {fine:.4f} ({2 * nodes} nodes) and {coarse:.4f} ({nodes} "
-            "nodes) are not both close to one integer; refine the contour"
+            f"node doubling: winding sums {fine:.4f} ({2 * nodes} nodes) and "
+            f"{coarse:.4f} ({nodes} nodes) are not both close to one integer"
         )
     return int(count)
 
@@ -257,21 +257,25 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     for i, strength in enumerate(strengths):
         center = spike_eigenvalue_location(strength, beta)
         winding = None
-        last_error = None
+        refusals = []   # one "radius ...: check (reason)" per refused rung
         for factor in (1.0, 0.85, 0.7):
             radius = base_radius * factor
             if not _contour_clear(evaluator.noise_eigenvalues, center, radius):
-                last_error = CertificationError("noise eigenvalue on or inside contour")
+                refusals.append(f"radius {radius:.6g}: _contour_clear "
+                                "(noise eigenvalue on or inside contour)")
                 continue
             try:
                 winding = winding_count(evaluator.det, center, radius, nodes)
                 break
-            except (CertificationError, PoleError) as exc:
-                last_error = exc
+            except CertificationError as exc:
+                refusals.append(f"radius {radius:.6g}: winding_count ({exc})")
+            except PoleError as exc:
+                refusals.append(f"radius {radius:.6g}: pole ({exc})")
         if winding is None:
             raise CertificationError(
-                f"no admissible contour around spike {i} at {center:.6g}"
-            ) from last_error
+                f"no admissible contour around spike {i} at {center:.6g}; "
+                + "; ".join(refusals)
+            )
         lam = float(kernel.eigenvalues[i])
         certificates.append(
             RootCertificate(

@@ -120,7 +120,7 @@ class ExperimentReport:
     per_spike: list            # one {quantity: Aggregate} dict per spike
     scalars: dict              # bulk_top and optional measurements
     records: list = field(repr=False, default_factory=list)
-    failures: list = field(repr=False, default_factory=list)
+    failures: list = field(repr=False, default_factory=list)  # (trial, repr) pairs
 
     def to_dict(self):
         return {
@@ -130,6 +130,7 @@ class ExperimentReport:
             "failed_count": self.failed_count,
             "per_spike": self.per_spike,
             "scalars": self.scalars,
+            "failures": [{"trial": i, "error": error} for i, error in self.failures],
         }
 
 

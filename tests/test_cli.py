@@ -89,6 +89,18 @@ class TestSimulate:
         assert (d1 / "trials.csv").read_bytes() == (d2 / "trials.csv").read_bytes()
         assert (d1 / "metadata.json").read_bytes() == (d2 / "metadata.json").read_bytes()
 
+    def test_parallelism_byte_identical_where_blas_threads_matter(self, capsys, tmp_path):
+        # At n = 100, X X' already rounds differently under one and two BLAS
+        # threads, so trials.csv may not depend on the worker count.
+        args = ("simulate", "--n", "100", "--m", "1000", "--taus", "2",
+                "--trials", "12", "--seed", "7")
+        outputs = set()
+        for p in (1, 2, 4):
+            out = tmp_path / f"p{p}"
+            assert run_cli(capsys, *args, "--parallelism", str(p), "--out-dir", str(out))[0] == 0
+            outputs.add((out / "trials.csv").read_bytes())
+        assert len(outputs) == 1
+
     def test_rerun_from_metadata_reproduces(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(capsys, "simulate", "--n", "40", "--m", "400", "--taus",
@@ -188,6 +200,18 @@ class TestVerify:
                                "--taus", "1.05", "--draws", "1",
                                "--seed", str(SEED), "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_refused_contours_are_named(self, capsys, tmp_path):
+        # tau = 1.3 at the defaults predicts its outlier 0.028 above the bulk
+        # edge, inside the 0.032 radius: every rung of the ladder is refused.
+        code, _, err = run_cli(capsys, "verify", "--taus", "1.3,1.1", "--seed", "0",
+                               "--out-dir", str(tmp_path))
+        assert code == 2
+        head, *rungs = err.strip().split("; ")
+        assert head == ("numerical failure: draw 0: no admissible contour around "
+                        "spike 0 at 1.22981")
+        assert rungs == [f"radius {r:.6g}: _contour_clear (noise eigenvalue on or "
+                         "inside contour)" for r in (0.0319577, 0.0271641, 0.0223704)]
 
 
 class TestSpikeList:

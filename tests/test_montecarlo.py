@@ -169,6 +169,22 @@ class TestRunExperiment:
         assert ([rec.trial for rec in serial.records]
                 == [rec.trial for rec in threaded.records])
 
+    def test_failures_listed_in_report(self, monkeypatch):
+        real = montecarlo.run_trial
+
+        def flaky(config, trial_index, **kw):
+            if trial_index in (5, 2):
+                raise PoleError(f"synthetic failure {trial_index}")
+            return real(config, trial_index, **kw)
+
+        monkeypatch.setattr(montecarlo, "run_trial", flaky)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        for parallelism in (1, 3):
+            report = run_experiment(config, trials=20, parallelism=parallelism)
+            assert report.to_dict()["failures"] == [
+                {"trial": i, "error": f"PoleError('synthetic failure {i}')"} for i in (2, 5)
+            ]
+
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_unexpected_error_propagates(self, monkeypatch, parallelism):
         started = []
