@@ -27,7 +27,13 @@ from .errors import (
 )
 from .estimator import analyze, estimate_tau
 from .master import certify_outliers, deterministic_master, rescale_blocks
-from .montecarlo import BetaSchedule, run_experiment, sweep, write_trials_csv
+from .montecarlo import (
+    BetaSchedule,
+    _trial_blas_threads,
+    run_experiment,
+    sweep,
+    write_trials_csv,
+)
 from .predictions import predict, spike_eigenvalue_location
 
 VALIDATION_ERRORS = (ValidationError, DomainError)
@@ -124,7 +130,8 @@ def build_parser():
     return parser
 
 
-_META_ONLY = {"verb", "version", "git_describe", "tolerance_provenance"}
+_META_ONLY = {"verb", "version", "git_describe", "tolerance_provenance",
+              "numpy_version", "blas_name", "blas_version", "blas_threads_per_worker"}
 
 
 def _effective_config(args):
@@ -157,11 +164,24 @@ def _effective_config(args):
     return config
 
 
+def _blas_build():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return {}
+
+
 def _write_metadata(out_dir, verb, config):
     payload = dict(config)
     payload["verb"] = verb
     payload["version"] = __version__
     payload["git_describe"] = _git_describe()
+    payload["numpy_version"] = np.__version__
+    blas = _blas_build()
+    payload["blas_name"] = blas.get("name")
+    payload["blas_version"] = blas.get("version")
+    if "parallelism" in config:
+        payload["blas_threads_per_worker"] = _trial_blas_threads()
     # Statistical thresholds (eta, ell, ...) carry no universal constants in
     # the underlying theory; the shipped defaults are pilot-calibrated.
     payload["tolerance_provenance"] = "pilot-derived"

@@ -1,12 +1,17 @@
 """Monte Carlo harness: trials, aggregation, schedules, and rate experiments.
 
 Trials are independent tasks keyed by (experiment seed, trial index); records
-are aggregated in trial order, so reports are bitwise identical for any
-parallelism. CSV output is tidy: one row per (trial, spike).
+are aggregated in trial order, and every trial's BLAS/LAPACK work runs on one
+OpenBLAS thread, so reports are bitwise identical for any parallelism and any
+core count. CSV output is tidy: one row per (trial, spike).
 """
 
+import contextlib
 import csv
+import ctypes
 import math
+import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,6 +68,79 @@ _PER_SPIKE_FIELDS = (
 _SCALAR_FIELDS = ("bulk_top", "stieltjes_dev", "proj_energy")
 
 CSV_COLUMNS = ("n", "m", "beta", "tau", "trial") + _PER_SPIKE_FIELDS + ("bulk_top",)
+
+#: OpenBLAS threads per trial. The Gram and eigh round differently under one
+#: and two BLAS threads, so the count is a constant, not the machine default.
+TRIAL_BLAS_THREADS = 1
+
+
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+#: None where no OpenBLAS is loaded; trials then run on the BLAS default.
+_OPENBLAS = _find_openblas()
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on TRIAL_BLAS_THREADS OpenBLAS threads.
+
+    The OpenBLAS count is process-wide, so entries nest across threads: the
+    first to enter saves the count and sets the pin, the last to leave
+    restores it.
+    """
+    global _pin_depth, _pin_saved
+    api = _OPENBLAS
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(TRIAL_BLAS_THREADS)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
+def _trial_blas_threads():
+    """OpenBLAS threads each trial runs on, or None when no handle was found."""
+    return None if _OPENBLAS is None else TRIAL_BLAS_THREADS
+
+
+def _available_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -134,6 +212,7 @@ class ExperimentReport:
         }
 
 
+@_one_blas_thread()
 def run_trial(config, trial_index, measure_stieltjes=False,
               measure_projection=False, truncate_noise=False):
     """One full measurement pass; deterministic in (config.seed, trial_index).
@@ -208,10 +287,11 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
                    **trial_kwargs):
     """Run `trials` independent trials and aggregate.
 
-    Trials run on a pool of `parallelism` threads (one thread at 1), and
-    aggregation consumes records in trial order whatever the completion
-    order, so reports are identical for any parallelism. Individual trials
-    may fail with a numerical error; more than 10% failures aborts.
+    Trials run on a pool of min(parallelism, trials, available cores)
+    threads, each trial on one OpenBLAS thread, and aggregation consumes
+    records in trial order whatever the completion order, so reports are
+    identical for any parallelism. Individual trials may fail with a
+    numerical error; more than 10% failures aborts.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -224,9 +304,11 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
         except TRIAL_ERRORS as exc:
             return None, (i, repr(exc))
 
-    pool = ThreadPoolExecutor(max_workers=parallelism)
+    # One BLAS thread per trial, so more workers than cores only adds switching.
+    pool = ThreadPoolExecutor(max_workers=min(parallelism, trials, _available_cores()))
     try:
-        outcomes = list(pool.map(work, range(trials)))
+        with _one_blas_thread():
+            outcomes = list(pool.map(work, range(trials)))
     finally:
         # Any other error propagates at once; trials still queued are cancelled.
         pool.shutdown(cancel_futures=True)
@@ -364,6 +446,7 @@ def _projection_energy(kernel, seed, trial_index):
     return kernel.projection_energy(v / math.sqrt(m))
 
 
+@_one_blas_thread()
 def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0):
     """Normalized sup-deviations of the noise Stieltjes transform and its derivative.
 
@@ -374,6 +457,7 @@ def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0):
     return _stieltjes_deviation(_noise_kernel(config, trial_index), u_offset)
 
 
+@_one_blas_thread()
 def projection_energy_experiment(config, trial_index=0):
     """Energy of an independent signal vector inside the noise row space.
 

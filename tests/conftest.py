@@ -1,6 +1,8 @@
 """Shared fixtures. The heavy tau sweep is computed once per session and
 reused by the montecarlo property tests and the acceptance suite."""
 
+import os
+
 import pytest
 
 from spikedwide import ModelConfig, run_experiment
@@ -13,6 +15,8 @@ SWEEP_BETA = 0.005
 SWEEP_TAUS = (0.6, 0.8, 1.0, 1.2, 1.6, 2.0)
 SWEEP_TRIALS = 50
 CRITICAL_NS = (25, 50, 100, SWEEP_N)
+# Trials run on one BLAS thread each, so a worker per core changes no result.
+CORES = len(os.sched_getaffinity(0))
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +26,7 @@ def tau_sweep_reports():
     reports = {}
     for tau in SWEEP_TAUS:
         config = ModelConfig(n=SWEEP_N, m=m, r=1, taus=(tau,), seed=SUITE_SEED)
-        reports[tau] = run_experiment(config, trials=SWEEP_TRIALS)
+        reports[tau] = run_experiment(config, trials=SWEEP_TRIALS, parallelism=CORES)
     return reports
 
 
@@ -42,6 +46,6 @@ def critical_overlap_curve(tau_sweep_reports):
         else:
             config = ModelConfig(n=n, m=round(n / SWEEP_BETA), r=1, taus=(1.0,),
                                  seed=SUITE_SEED)
-            report = run_experiment(config, trials=SWEEP_TRIALS)
+            report = run_experiment(config, trials=SWEEP_TRIALS, parallelism=CORES)
         curve[n] = report.per_spike[0]["u_overlap"].mean
     return curve

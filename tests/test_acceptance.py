@@ -6,11 +6,12 @@ acceptance values, not calibrated to the draws.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import brentq
 
-from conftest import SUITE_SEED, SWEEP_BETA
+from conftest import CORES, SUITE_SEED, SWEEP_BETA
 from spikedwide import mp
 from spikedwide.ensemble import (
     ModelConfig,
@@ -197,8 +198,10 @@ class TestCriterion6:
         for n in ns:
             m = math.ceil(n ** 1.5)
             config = ModelConfig(n=n, m=m, r=0, seed=SUITE_SEED)
-            devs = [stieltjes_deviation_experiment(config, t, u_offset=1.0)
-                    for t in range(20)]
+            with ThreadPoolExecutor(CORES) as pool:
+                devs = list(pool.map(
+                    lambda t: stieltjes_deviation_experiment(config, t, u_offset=1.0),
+                    range(20)))
             values.append(float(np.median([d.value for d in devs])))
             derivs.append(float(np.median([d.derivative for d in devs])))
         slope_s = fit_rate(list(zip(ns, values)))
@@ -219,7 +222,9 @@ class TestCriterion7:
         ok = True
         for n in (100, 400):
             config = ModelConfig(n=n, m=100 * n, r=0, seed=SUITE_SEED)
-            results = [projection_energy_experiment(config, t) for t in range(100)]
+            with ThreadPoolExecutor(CORES) as pool:
+                results = list(pool.map(lambda t: projection_energy_experiment(config, t),
+                                        range(100)))
             log_ok = np.mean([x.ratio_beta_log < 3.0 for x in results])
             mean_ratio = float(np.mean([x.ratio_beta for x in results]))
             stats[n] = (log_ok, mean_ratio)

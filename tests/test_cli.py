@@ -101,6 +101,29 @@ class TestSimulate:
             outputs.add((out / "trials.csv").read_bytes())
         assert len(outputs) == 1
 
+    def test_trials_independent_of_the_default_blas_thread_count(self, tmp_path):
+        # Trials run on one BLAS thread whatever OPENBLAS_NUM_THREADS says.
+        args = ["simulate", "--n", "100", "--m", "1000", "--taus", "2",
+                "--trials", "12", "--seed", "7", "--parallelism", "2"]
+        outputs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "spikedwide.cli", *args, "--out-dir", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                         PYTHONPATH=str(Path(spikedwide.__file__).parents[1])),
+                check=True, capture_output=True)
+            outputs.add((out / "trials.csv").read_bytes())
+        assert len(outputs) == 1
+
+    def test_metadata_records_provenance(self, capsys, tmp_path):
+        assert run_cli(capsys, "simulate", "--n", "20", "--m", "200", "--taus", "2",
+                       "--trials", "1", "--out-dir", str(tmp_path))[0] == 0
+        meta = io.read_json(tmp_path / "metadata.json")
+        assert meta["numpy_version"] == np.__version__
+        assert meta["blas_threads_per_worker"] in (1, None)
+        assert {"blas_name", "blas_version"} <= meta.keys()
+
     def test_rerun_from_metadata_reproduces(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(capsys, "simulate", "--n", "40", "--m", "400", "--taus",

@@ -5,12 +5,13 @@ conftest (n=200, beta=0.005, 50 trials per tau).
 """
 
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from conftest import SUITE_SEED, SWEEP_BETA, SWEEP_N, SWEEP_TAUS, SWEEP_TRIALS
+from conftest import CORES, SUITE_SEED, SWEEP_BETA, SWEEP_N, SWEEP_TAUS, SWEEP_TRIALS
 from spikedwide import montecarlo
 from spikedwide.ensemble import ModelConfig, SpikedSample, sample_model, stream
 from spikedwide.errors import ExperimentError, PoleError, ValidationError
@@ -200,6 +201,111 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="not a trial error"):
             run_experiment(config, trials=40, parallelism=parallelism)
         assert len(started) < 40  # queued trials were cancelled, not run
+
+    def test_workers_capped_at_trials_and_cores(self, monkeypatch):
+        sizes = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        serial, wide = (run_experiment(config, trials=6, parallelism=p) for p in (1, 64))
+        assert serial.to_dict() == wide.to_dict()
+        assert sizes == [1, min(6, CORES)]
+
+
+needs_openblas = pytest.mark.skipif(montecarlo._OPENBLAS is None,
+                                    reason="no OpenBLAS handle in this process")
+
+
+class TestBlasPin:
+    @needs_openblas
+    def test_trials_run_on_one_thread_and_the_count_is_restored(self, monkeypatch):
+        get, _ = montecarlo._OPENBLAS
+        before = get()
+        seen = []
+        real = montecarlo.run_trial
+
+        def recording(config, trial_index, **kw):
+            seen.append(get())
+            return real(config, trial_index, **kw)
+
+        monkeypatch.setattr(montecarlo, "run_trial", recording)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        run_experiment(config, trials=4, parallelism=2)
+        assert seen == [1] * 4
+        assert get() == before
+
+    @needs_openblas
+    def test_direct_calls_are_pinned(self, monkeypatch):
+        # run_trial and both rate experiments pin on their own, outside any pool.
+        get, _ = montecarlo._OPENBLAS
+        seen = []
+
+        def recording(real):
+            def call(*args, **kwargs):
+                seen.append(get())
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("sample_model", "sample_noise"):
+            monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        run_trial(config, 0)
+        stieltjes_deviation_experiment(config)
+        projection_energy_experiment(config)
+        assert seen == [1, 1, 1]
+
+    @needs_openblas
+    def test_count_restored_when_an_error_propagates(self, monkeypatch):
+        get, _ = montecarlo._OPENBLAS
+        before = get()
+
+        def broken(config, trial_index, **kw):
+            raise RuntimeError("not a trial error")
+
+        monkeypatch.setattr(montecarlo, "run_trial", broken)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        with pytest.raises(RuntimeError, match="not a trial error"):
+            run_experiment(config, trials=4, parallelism=2)
+        assert get() == before
+
+    def test_pin_nests_across_threads(self, monkeypatch):
+        # The first entry saves the count and pins it; only the last exit
+        # restores it, whichever thread entered first.
+        state = {"count": 3}
+        calls, seen = [], []
+
+        def set_(k):
+            calls.append(k)
+            state["count"] = k
+
+        monkeypatch.setattr(montecarlo, "_OPENBLAS", (lambda: state["count"], set_))
+        outer_in, inner_out = threading.Event(), threading.Event()
+
+        def inner():
+            outer_in.wait(5)
+            with montecarlo._one_blas_thread():
+                seen.append(state["count"])
+            inner_out.set()
+
+        worker = threading.Thread(target=inner)
+        worker.start()
+        with montecarlo._one_blas_thread():
+            outer_in.set()
+            inner_out.wait(5)
+            seen.append(state["count"])
+        worker.join(5)
+        assert seen == [1, 1] and calls == [1, 3] and state["count"] == 3
+
+    def test_runs_without_a_handle(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_OPENBLAS", None)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        assert run_experiment(config, trials=3, parallelism=2).trial_count == 3
+        assert montecarlo._trial_blas_threads() is None
 
 
 class TestSweep:
