@@ -8,7 +8,7 @@ Library layout:
 - predictions: limiting eigenvalue and overlap values on the tau scale
 - master: 2r x 2r master matrices and winding-number root certification
 - estimator: outlier detection and exact signal-strength inversion
-- montecarlo: trial harness, schedules, deviation and rate experiments
+- montecarlo: trial harness with optional noise-only rate measurements, schedules
 - cli: `spikedwide` command with simulate / predict / estimate / sweep / verify
 """
 
@@ -49,10 +49,8 @@ from .montecarlo import (
     ExperimentReport,
     TrialRecord,
     fit_rate,
-    projection_energy_experiment,
     run_experiment,
     run_trial,
-    stieltjes_deviation_experiment,
     sweep,
     write_trials_csv,
 )

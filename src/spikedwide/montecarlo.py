@@ -1,9 +1,11 @@
-"""Monte Carlo harness: trials, aggregation, schedules, and rate experiments.
+"""Monte Carlo harness: trials, aggregation, schedules, and rate fits.
 
 Trials are independent tasks keyed by (experiment seed, trial index); records
 are aggregated in trial order, and every trial's BLAS/LAPACK work runs on one
 OpenBLAS thread, so reports are bitwise identical for any parallelism and any
-core count. CSV output is tidy: one row per (trial, spike).
+core count. The noise-only rate measurements (Stieltjes deviation, projection
+energy) are optional fields of the same trial. CSV output is tidy: one row per
+(trial, spike).
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mp
-from .ensemble import assemble_spiked, sample_model, sample_noise, stream, truncate_normalize
+from .ensemble import assemble_spiked, sample_model, stream, truncate_normalize
 from .errors import (
     CertificationError,
     DomainError,
@@ -40,8 +42,6 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "sweep",
-    "stieltjes_deviation_experiment",
-    "projection_energy_experiment",
     "fit_rate",
     "write_trials_csv",
 ]
@@ -64,8 +64,8 @@ _PER_SPIKE_FIELDS = (
     "lambda_emp", "lambda_bar", "centered_err",
     "u_overlap", "u_cross_max", "v_overlap", "v_cross_max",
 )
-#: Per-trial scalars; the last two are the optional measurements (None when off).
-_SCALAR_FIELDS = ("bulk_top", "stieltjes_dev", "proj_energy")
+#: Per-trial scalars; all but bulk_top are optional measurements (None when off).
+_SCALAR_FIELDS = ("bulk_top", "stieltjes_dev", "stieltjes_ddev", "proj_energy")
 
 CSV_COLUMNS = ("n", "m", "beta", "tau", "trial") + _PER_SPIKE_FIELDS + ("bulk_top",)
 
@@ -161,7 +161,8 @@ class TrialRecord:
     v_overlap: np.ndarray
     v_cross_max: np.ndarray
     bulk_top: float           # first non-spike eigenvalue
-    stieltjes_dev: float = None
+    stieltjes_dev: float = None   # sup|s_n - s_mp| sqrt(beta), radius n^(-1/4) sqrt(beta)
+    stieltjes_ddev: float = None  # sup|s_n' - s_mp'| beta, radius n^(-1/8) sqrt(beta)
     proj_energy: float = None
 
     def rows(self):
@@ -214,14 +215,20 @@ class ExperimentReport:
 
 @_one_blas_thread()
 def run_trial(config, trial_index, measure_stieltjes=False,
-              measure_projection=False, truncate_noise=False):
+              measure_projection=False, truncate_noise=False, u_offset=0.0):
     """One full measurement pass; deterministic in (config.seed, trial_index).
 
     Spikes are matched to empirical triples by rank order. Subcritical spikes
-    get nan predicted locations. Optional fields measure the noise-only
-    Stieltjes deviation and right-projection energy on the same trial streams.
-    truncate_noise reruns the draw with truncated-and-normalized noise entries
-    (a perturbation that moves eigenvalues by at most O(1/sqrt(nm))).
+    get nan predicted locations. The optional measurements read the noise X
+    alone, on the trial's own streams. measure_stieltjes sets stieltjes_dev
+    and stieltjes_ddev, the normalized sup-deviations of the noise Stieltjes
+    transform and its derivative from Marchenko-Pastur on probe discs centred
+    at u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); both should decay like
+    n^(-ell). measure_projection sets proj_energy, the energy of an
+    independent v with i.i.d. N(0, 1/m) entries inside the row space of X,
+    of expected size beta. truncate_noise reruns the draw with
+    truncated-and-normalized noise entries (a perturbation that moves
+    eigenvalues by at most O(1/sqrt(nm))).
     """
     sample = sample_model(config, trial_index)
     if truncate_noise:
@@ -255,9 +262,9 @@ def run_trial(config, trial_index, measure_stieltjes=False,
 
     bulk_top = float(eigenvalues[i0])
 
-    stieltjes_dev = None
+    stieltjes_dev = stieltjes_ddev = None
     if measure_stieltjes:
-        stieltjes_dev = _stieltjes_deviation(kernel).value
+        stieltjes_dev, stieltjes_ddev = _stieltjes_deviation(kernel, u_offset)
 
     proj_energy = None
     if measure_projection:
@@ -269,7 +276,8 @@ def run_trial(config, trial_index, measure_stieltjes=False,
         lambda_emp=lambda_emp, lambda_bar=lam_bar, centered_err=centered_err,
         u_overlap=u_overlap, u_cross_max=u_cross,
         v_overlap=v_overlap, v_cross_max=v_cross,
-        bulk_top=bulk_top, stieltjes_dev=stieltjes_dev, proj_energy=proj_energy,
+        bulk_top=bulk_top, stieltjes_dev=stieltjes_dev,
+        stieltjes_ddev=stieltjes_ddev, proj_energy=proj_energy,
     )
 
 
@@ -411,25 +419,9 @@ def probe_deviation(eigenvalues, beta, center, radius, reference=None):
     return dev, ddev
 
 
-class StieltjesDeviation(NamedTuple):
-    value: float       # sup|s_n - s_mp| * sqrt(beta), disc radius n^(-1/4) sqrt(beta)
-    derivative: float  # sup|s_n' - s_mp'| * beta, disc radius n^(-1/8) sqrt(beta)
-
-
-class ProjectionEnergy(NamedTuple):
-    energy: float
-    ratio_beta: float      # energy / beta (mean should sit near 1)
-    ratio_beta_log: float  # energy / (beta * log n)
-
-
-# Noise-only measurements on a _GramKernel, shared by run_trial and the rate
-# experiments: both read the kernel's one eigh of (1/m) X X'.
-def _noise_kernel(config, trial_index):
-    return _GramKernel(sample_noise(config.n, config.m, config.noise_family,
-                                    stream(config.seed, "noise", trial_index)))
-
-
-def _stieltjes_deviation(kernel, u_offset=0.0):
+# Noise-only measurements on a trial's _GramKernel: both read the kernel's one
+# eigh of (1/m) X X'.
+def _stieltjes_deviation(kernel, u_offset):
     n, m = kernel.n, kernel.m
     beta = n / m
     sqrt_beta = math.sqrt(beta)
@@ -437,36 +429,13 @@ def _stieltjes_deviation(kernel, u_offset=0.0):
     eigs = kernel.noise_eigenvalues
     dev, _ = probe_deviation(eigs, beta, center, n ** -0.25 * sqrt_beta)
     _, ddev = probe_deviation(eigs, beta, center, n ** -0.125 * sqrt_beta)
-    return StieltjesDeviation(dev * sqrt_beta, ddev * beta)
+    return dev * sqrt_beta, ddev * beta
 
 
 def _projection_energy(kernel, seed, trial_index):
     m = kernel.m
     v = stream(seed, "probe", trial_index).standard_normal(m)
     return kernel.projection_energy(v / math.sqrt(m))
-
-
-@_one_blas_thread()
-def stieltjes_deviation_experiment(config, trial_index=0, u_offset=0.0):
-    """Normalized sup-deviations of the noise Stieltjes transform and its derivative.
-
-    Probes one pure-noise draw, with one eigendecomposition, around
-    u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); see StieltjesDeviation
-    for the radii and scalings. Both read as "should decay like n^(-ell)".
-    """
-    return _stieltjes_deviation(_noise_kernel(config, trial_index), u_offset)
-
-
-@_one_blas_thread()
-def projection_energy_experiment(config, trial_index=0):
-    """Energy of an independent signal vector inside the noise row space.
-
-    Draws pure noise X and v with i.i.d. N(0, 1/m) entries, then measures
-    ‖W'v‖^2 against its expected size beta and the beta*log(n) envelope.
-    """
-    beta = config.n / config.m
-    energy = _projection_energy(_noise_kernel(config, trial_index), config.seed, trial_index)
-    return ProjectionEnergy(energy, energy / beta, energy / (beta * math.log(config.n)))
 
 
 def fit_rate(pairs):

@@ -6,7 +6,6 @@ acceptance values, not calibrated to the draws.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import brentq
@@ -22,11 +21,7 @@ from spikedwide.ensemble import (
 )
 from spikedwide.estimator import estimate_tau
 from spikedwide.master import EmpiricalMasterEvaluator, deterministic_master, rescale_blocks
-from spikedwide.montecarlo import (
-    fit_rate,
-    projection_energy_experiment,
-    stieltjes_deviation_experiment,
-)
+from spikedwide.montecarlo import fit_rate, run_experiment
 from spikedwide.cli import main as cli_main
 from spikedwide.predictions import spike_eigenvalue_location
 from spikedwide.spectra import covariance_eigenvalues, top_spectrum
@@ -198,12 +193,10 @@ class TestCriterion6:
         for n in ns:
             m = math.ceil(n ** 1.5)
             config = ModelConfig(n=n, m=m, r=0, seed=SUITE_SEED)
-            with ThreadPoolExecutor(CORES) as pool:
-                devs = list(pool.map(
-                    lambda t: stieltjes_deviation_experiment(config, t, u_offset=1.0),
-                    range(20)))
-            values.append(float(np.median([d.value for d in devs])))
-            derivs.append(float(np.median([d.derivative for d in devs])))
+            rep = run_experiment(config, 20, CORES, measure_stieltjes=True, u_offset=1.0)
+            assert rep.failed_count == 0, rep.failures
+            values.append(float(np.median([r.stieltjes_dev for r in rep.records])))
+            derivs.append(float(np.median([r.stieltjes_ddev for r in rep.records])))
         slope_s = fit_rate(list(zip(ns, values)))
         slope_ds = fit_rate(list(zip(ns, derivs)))
         mono_s = all(a >= b for a, b in zip(values, values[1:]))
@@ -222,11 +215,12 @@ class TestCriterion7:
         ok = True
         for n in (100, 400):
             config = ModelConfig(n=n, m=100 * n, r=0, seed=SUITE_SEED)
-            with ThreadPoolExecutor(CORES) as pool:
-                results = list(pool.map(lambda t: projection_energy_experiment(config, t),
-                                        range(100)))
-            log_ok = np.mean([x.ratio_beta_log < 3.0 for x in results])
-            mean_ratio = float(np.mean([x.ratio_beta for x in results]))
+            rep = run_experiment(config, 100, CORES, measure_projection=True)
+            assert rep.failed_count == 0, rep.failures
+            beta = config.n / config.m
+            energies = [r.proj_energy for r in rep.records]
+            log_ok = np.mean([e / (beta * math.log(n)) < 3.0 for e in energies])
+            mean_ratio = float(np.mean([e / beta for e in energies]))
             stats[n] = (log_ok, mean_ratio)
             ok = ok and log_ok >= 0.99 and abs(mean_ratio - 1.0) <= 0.3
         assert report(7, ok,

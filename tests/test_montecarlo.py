@@ -1,4 +1,4 @@
-"""Harness behavior: determinism, aggregation, schedules, rate experiments.
+"""Harness behavior: determinism, aggregation, schedules, rate measurements.
 
 The phase-transition sweep checks reuse the session-scope fixture from
 conftest (n=200, beta=0.005, 50 trials per tau).
@@ -20,10 +20,8 @@ from spikedwide.montecarlo import (
     BetaSchedule,
     fit_rate,
     probe_deviation,
-    projection_energy_experiment,
     run_experiment,
     run_trial,
-    stieltjes_deviation_experiment,
     sweep,
     write_trials_csv,
 )
@@ -36,14 +34,16 @@ from spikedwide.spectra import empirical_stieltjes, top_spectrum
 
 
 class TestRunTrial:
-    def test_measurements_match_the_rate_experiments(self):
-        # Same noise stream, same probe path: the numbers agree exactly.
-        for config in (ModelConfig(n=40, m=800, r=0, seed=SUITE_SEED),
-                       ModelConfig(n=40, m=800, r=2, taus=(2.0, 1.2), seed=SUITE_SEED)):
-            for t in (0, 1):
-                rec = run_trial(config, t, measure_stieltjes=True, measure_projection=True)
-                assert rec.stieltjes_dev == stieltjes_deviation_experiment(config, t).value
-                assert rec.proj_energy == projection_energy_experiment(config, t).energy
+    def test_measurements_read_the_noise_not_the_signal(self):
+        # The spiked trial and its noise-only twin share the noise stream: the
+        # measurements agree exactly, so they read X, not X_tilde.
+        config = ModelConfig(n=40, m=800, r=2, taus=(2.0, 1.2), seed=SUITE_SEED)
+        noise_only = config.replace(r=0, taus=(), eps=())
+        fields = ("stieltjes_dev", "stieltjes_ddev", "proj_energy")
+        for t in (0, 1):
+            rec, ref = (run_trial(c, t, measure_stieltjes=True, measure_projection=True)
+                        for c in (config, noise_only))
+            assert [getattr(rec, f) for f in fields] == [getattr(ref, f) for f in fields]
 
     def test_fields_match_dense_references(self):
         # The kernel path against the top spectrum of the formed X_tilde and
@@ -135,6 +135,15 @@ class TestRunExperiment:
         for name, agg in serial.per_spike[0].items():
             assert agg == threaded.per_spike[0][name]
         assert serial.scalars["bulk_top"] == threaded.scalars["bulk_top"]
+
+    def test_measured_scalars_aggregate_only_when_on(self):
+        config = ModelConfig(n=30, m=600, r=1, taus=(2.0,), seed=9)
+        plain, stieltjes, projection = (
+            run_experiment(config, trials=3, **kw).scalars
+            for kw in ({}, {"measure_stieltjes": True}, {"measure_projection": True}))
+        assert set(plain) == {"bulk_top"}
+        assert set(stieltjes) == {"bulk_top", "stieltjes_dev", "stieltjes_ddev"}
+        assert set(projection) == {"bulk_top", "proj_energy"}
 
     def test_failure_budget(self, monkeypatch):
         real = montecarlo.run_trial
@@ -241,7 +250,7 @@ class TestBlasPin:
 
     @needs_openblas
     def test_direct_calls_are_pinned(self, monkeypatch):
-        # run_trial and both rate experiments pin on their own, outside any pool.
+        # run_trial pins on its own, outside any pool.
         get, _ = montecarlo._OPENBLAS
         seen = []
 
@@ -251,13 +260,10 @@ class TestBlasPin:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("sample_model", "sample_noise"):
-            monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
+        monkeypatch.setattr(montecarlo, "sample_model", recording(montecarlo.sample_model))
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         run_trial(config, 0)
-        stieltjes_deviation_experiment(config)
-        projection_energy_experiment(config)
-        assert seen == [1, 1, 1]
+        assert seen == [1]
 
     @needs_openblas
     def test_count_restored_when_an_error_propagates(self, monkeypatch):
@@ -349,15 +355,16 @@ class TestStieltjesDeviation:
     def test_normalized_deviation_small(self):
         # n=200, beta=0.01, eta=0.5: normalized deviation < 1 for >= 95% of seeds
         config = ModelConfig(n=200, m=20000, r=0, seed=SUITE_SEED)
-        devs = [stieltjes_deviation_experiment(config, t).value for t in range(20)]
+        devs = [run_trial(config, t, measure_stieltjes=True).stieltjes_dev
+                for t in range(20)]
         assert np.mean(np.array(devs) < 1.0) >= 0.95
 
     def test_monotone_trend_is_checked_in_acceptance(self):
         # covered by the acceptance suite (criterion 6); here only the scaling
         # plumbing: derivative variant uses the wider normalization.
         config = ModelConfig(n=100, m=1000, r=0, seed=SUITE_SEED)
-        dev = stieltjes_deviation_experiment(config, 0, u_offset=1.0)
-        assert dev.value > 0 and dev.derivative > 0
+        rec = run_trial(config, 0, measure_stieltjes=True, u_offset=1.0)
+        assert rec.stieltjes_dev > 0 and rec.stieltjes_ddev > 0
 
 
 class TestProjectionEnergy:
@@ -370,7 +377,9 @@ class TestProjectionEnergy:
 
     def test_energy_ratio_concentrates(self):
         config = ModelConfig(n=100, m=10000, r=0, seed=SUITE_SEED)
-        ratios = [projection_energy_experiment(config, t).ratio_beta for t in range(40)]
+        beta = config.n / config.m
+        ratios = [run_trial(config, t, measure_projection=True).proj_energy / beta
+                  for t in range(40)]
         inside = np.mean([(0.2 <= r <= 5.0) for r in ratios])
         assert inside >= 0.95
         assert abs(np.mean(ratios) - 1.0) < 0.3
