@@ -56,9 +56,9 @@ from .montecarlo import (
 )
 from .predictions import (
     TheoryPrediction,
-    above_threshold_count,
     centered_eigenvalue_limit,
     left_cosine_limit,
+    outlier_locations,
     predict,
     proportional_reference,
     spike_eigenvalue_location,

@@ -10,7 +10,7 @@ reproducible regardless of evaluation order.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,12 +94,7 @@ class ModelConfig:
             raise ValidationError("need 0 <= r <= min(n, m)")
         if len(self.taus) != self.r or len(self.eps) != self.r:
             raise ValidationError("taus and eps must have length r")
-        if any(t <= 0 for t in self.taus):
-            raise ValidationError("spike parameters tau must be positive (drop zero spikes)")
-        if any(t2 >= t1 for t1, t2 in zip(self.taus, self.taus[1:])):
-            raise ValidationError("taus must be strictly decreasing")
-        if not all(math.isfinite(e) for e in self.eps):
-            raise ValidationError("eps must be finite")
+        calibrate_signal_strengths(self.taus, self.eps, self.beta)
         _noise_drawer(self.noise_family)
         if self.signal_family not in SIGNAL_FAMILIES:
             raise ValidationError(f"unknown signal family {self.signal_family!r}")
@@ -155,7 +150,6 @@ class SpikedSample:
     V: np.ndarray          # m x r right signal vectors
     theta: np.ndarray      # r signal strengths
     X: np.ndarray          # n x m noise
-    config: ModelConfig = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("U", "V", "theta", "X"):
@@ -190,18 +184,28 @@ class SpikedSample:
 
 
 def calibrate_signal_strengths(taus, eps, beta):
-    """theta_i = tau_i * beta^(1/4) * (1 + eps_i), in the given order."""
+    """theta_i = tau_i * beta^(1/4) * (1 + eps_i), in the given order.
+
+    The one check of spike strengths. theta must be positive and strictly
+    decreasing like tau, since spikes are matched to eigenvalues by rank.
+    """
     taus = np.asarray(taus, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    if taus.shape != eps.shape:
-        raise ValidationError("taus and eps must have matching shapes")
+    if taus.ndim != 1 or taus.shape != eps.shape:
+        raise ValidationError("taus and eps must be one-dimensional with matching shapes")
     if not (0.0 < beta <= 1.0):
         raise ValidationError(f"beta must be in (0, 1], got {beta}")
+    if not np.all(taus > 0):
+        raise ValidationError("spike parameters tau must be positive (drop zero spikes)")
     if np.any(np.diff(taus) >= 0):
         raise ValidationError("taus must be strictly decreasing")
     if not np.all(np.isfinite(eps)):
         raise ValidationError("eps must be finite")
-    return taus * beta ** 0.25 * (1.0 + eps)
+    theta = taus * beta ** 0.25 * (1.0 + eps)
+    if not np.all(np.isfinite(theta) & (theta > 0)) or np.any(np.diff(theta) >= 0):
+        raise ValidationError("theta = tau beta^(1/4) (1 + eps) must be finite, positive "
+                              "and strictly decreasing")
+    return theta
 
 
 def sample_signal_vectors(n, m, r, signal_family, rng):
@@ -240,7 +244,7 @@ def sample_noise(n, m, noise_family, rng):
     return _noise_drawer(noise_family)(rng, (n, m))
 
 
-def assemble_spiked(U, V, theta, X, config=None):
+def assemble_spiked(U, V, theta, X):
     """Combine factors into a SpikedSample; X_tilde = sqrt(m) U diag(theta) V' + X is lazy."""
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -252,7 +256,7 @@ def assemble_spiked(U, V, theta, X, config=None):
         raise ValidationError(
             f"shape mismatch: U {U.shape}, V {V.shape}, theta {theta.shape}, X {X.shape}"
         )
-    return SpikedSample(U=U, V=V, theta=theta, X=X, config=config)
+    return SpikedSample(U=U, V=V, theta=theta, X=X)
 
 
 def sample_model(config, trial_index=0):
@@ -266,7 +270,7 @@ def sample_model(config, trial_index=0):
         config.n, config.m, config.noise_family,
         stream(config.seed, "noise", trial_index),
     )
-    return assemble_spiked(U, V, theta, X, config=config)
+    return assemble_spiked(U, V, theta, X)
 
 
 def truncation_threshold(n, m):

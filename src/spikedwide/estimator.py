@@ -45,7 +45,7 @@ class EstimationReport:
     beta: float
     edge: float
     outliers: list = field(default_factory=list)
-    subcritical_count: int = 0
+    subcritical_count: int = 0  # 0/1 flag: 1 when the scan stopped below the threshold
     transposed: bool = False
     tie_warning: bool = False
 
@@ -88,8 +88,8 @@ def analyze(X, eta=DEFAULT_ETA):
     """Full estimation report for an observed (unscaled) matrix.
 
     Tall inputs are transposed internally (left/right roles swap; the report
-    flags it). Subcritical_count records whether the scan stopped at an
-    eigenvalue below the threshold.
+    flags it). subcritical_count is a 0/1 stop flag, not a count: 1 when the
+    scan stopped at an eigenvalue below the threshold.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:

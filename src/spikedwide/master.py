@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mp
 from .errors import CertificationError, PoleError, ValidationError
-from .predictions import spike_eigenvalue_location
+from .predictions import outlier_locations
 from .spectra import _GramKernel, empirical_stieltjes
 
 __all__ = [
@@ -234,12 +234,12 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
 
     Spikes are those of the realised signal U diag(theta) V': its singular
     values (for one spike theta |u| |v|, which for i.i.d. signal vectors
-    moves off theta by O(n^(-1/2))) decide which spikes are above threshold
-    and where their outliers should sit. Each contour is a circle of radius
-    n^(-ell) * sqrt(beta) around that location; a certificate holds when the
-    determinant of the empirical master matrix has winding number exactly 1.
-    Also reports the rank-matched empirical eigenvalue and its gap in
-    sqrt(beta) units.
+    moves off theta by O(n^(-1/2))) give, through outlier_locations, which
+    spikes are above threshold and where their outliers should sit. Each
+    contour is a circle of radius n^(-ell) * sqrt(beta) around that location;
+    a certificate holds when the determinant of the empirical master matrix
+    has winding number exactly 1. Also reports the rank-matched empirical
+    eigenvalue and its gap in sqrt(beta) units.
     """
     if not 0.0 < ell < 0.25:
         raise ValidationError("ell must lie in (0, 1/4)")
@@ -247,15 +247,15 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
         return []
     beta = sample.beta
     kernel = _GramKernel.of(sample)
-    strengths = [s for s in kernel.signal_strengths() if s / beta ** 0.25 > 1.0]
-    if not strengths:
+    centers = outlier_locations(kernel.signal_strengths(), beta)
+    centers = centers[~np.isnan(centers)]
+    if not centers.size:
         return []
 
     evaluator = EmpiricalMasterEvaluator(sample, kernel)
     base_radius = sample.n ** (-ell) * math.sqrt(beta)
     certificates = []
-    for i, strength in enumerate(strengths):
-        center = spike_eigenvalue_location(strength, beta)
+    for i, center in enumerate(centers):
         winding = None
         refusals = []   # one "radius ...: check (reason)" per refused rung
         for factor in (1.0, 0.85, 0.7):

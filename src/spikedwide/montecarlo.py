@@ -31,7 +31,7 @@ from .errors import (
     PoleError,
     ValidationError,
 )
-from .predictions import above_threshold_count, spike_eigenvalue_location
+from .predictions import outlier_locations
 from .spectra import _GramKernel, empirical_stieltjes
 
 __all__ = [
@@ -218,12 +218,14 @@ def run_trial(config, trial_index, measure_stieltjes=False,
               measure_projection=False, truncate_noise=False, u_offset=0.0):
     """One full measurement pass; deterministic in (config.seed, trial_index).
 
-    Spikes are matched to empirical triples by rank order. Subcritical spikes
-    get nan predicted locations. The optional measurements read the noise X
-    alone, on the trial's own streams. measure_stieltjes sets stieltjes_dev
-    and stieltjes_ddev, the normalized sup-deviations of the noise Stieltjes
-    transform and its derivative from Marchenko-Pastur on probe discs centred
-    at u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); both should decay like
+    Spikes are matched to empirical triples by rank order. lambda_bar is
+    outlier_locations of the nominal strengths theta (nan at or below the
+    threshold), and bulk_top the eigenvalue past the non-nan ones. The
+    optional measurements read the noise X alone, on the trial's own streams.
+    measure_stieltjes sets stieltjes_dev and stieltjes_ddev, the normalized
+    sup-deviations of the noise Stieltjes transform and its derivative from
+    Marchenko-Pastur on probe discs centred at
+    u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); both should decay like
     n^(-ell). measure_projection sets proj_energy, the energy of an
     independent v with i.i.d. N(0, 1/m) entries inside the row space of X,
     of expected size beta. truncate_noise reruns the draw with
@@ -233,22 +235,20 @@ def run_trial(config, trial_index, measure_stieltjes=False,
     sample = sample_model(config, trial_index)
     if truncate_noise:
         sample = assemble_spiked(sample.U, sample.V, sample.theta,
-                                 truncate_normalize(sample.X), config=config)
+                                 truncate_normalize(sample.X))
     # One set of sufficient statistics serves the spectrum, the overlaps and
     # both noise measurements.
     kernel = _GramKernel.of(sample)
     beta = sample.beta
     sqrt_beta = math.sqrt(beta)
     r = sample.r
-    i0 = above_threshold_count(config.taus) if r else 0
+    lam_bar = outlier_locations(sample.theta, beta)
+    i0 = int(np.count_nonzero(~np.isnan(lam_bar)))
     eigenvalues = kernel.eigenvalues
+    lambda_emp = eigenvalues[:r].copy()
+    centered_err = np.abs(lambda_emp - lam_bar) / sqrt_beta
 
     if r:
-        lambda_emp = eigenvalues[:r].copy()
-        lam_bar = np.full(r, np.nan)
-        for i in range(i0):
-            lam_bar[i] = spike_eigenvalue_location(sample.theta[i], beta)
-        centered_err = np.abs(lambda_emp - lam_bar) / sqrt_beta
         # Cosines against unit-normalized signal vectors, so overlaps stay in
         # [0, 1] even when iid signal columns have norm != 1 at finite n.
         u_ov, v_ov = (np.abs(c) for c in kernel.signal_cosines(r))
@@ -257,7 +257,6 @@ def run_trial(config, trial_index, measure_stieltjes=False,
         u_cross = _cross_max(u_ov)
         v_cross = _cross_max(v_ov)
     else:
-        lambda_emp = lam_bar = centered_err = np.zeros(0)
         u_overlap = v_overlap = u_cross = v_cross = np.zeros(0)
 
     bulk_top = float(eigenvalues[i0])

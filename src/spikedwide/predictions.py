@@ -1,8 +1,10 @@
 """Limiting values for spiked eigenvalues and singular-vector overlaps.
 
 Spike strength is parametrized on the refined scale theta = tau * beta^(1/4);
-the detectability transition sits at tau = 1. Eigenvalue displacements are
-reported both in absolute terms and centered as (lambda - 1) / sqrt(beta).
+the detectability transition sits at theta = beta^(1/4) (tau = 1), and
+outlier_locations is the one place that rule is written. Eigenvalue
+displacements are reported both in absolute terms and centered as
+(lambda - 1) / sqrt(beta).
 """
 
 import math
@@ -11,13 +13,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import mp
-from .errors import DomainError, ValidationError
+from .ensemble import calibrate_signal_strengths
+from .errors import DomainError
 
 __all__ = [
     "TheoryPrediction",
-    "above_threshold_count",
     "centered_eigenvalue_limit",
     "spike_eigenvalue_location",
+    "outlier_locations",
     "left_cosine_limit",
     "proportional_reference",
     "predict",
@@ -44,23 +47,6 @@ class TheoryPrediction:
         return asdict(self)
 
 
-def _check_taus(taus):
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1:
-        raise ValidationError("taus must be a one-dimensional sequence")
-    if taus.size and not np.all(np.isfinite(taus)):
-        raise ValidationError("taus must be finite")
-    if np.any(np.diff(taus) >= 0):
-        raise ValidationError("taus must be strictly decreasing")
-    return taus
-
-
-def above_threshold_count(taus):
-    """Number of spikes with tau strictly above the transition point 1."""
-    taus = _check_taus(taus)
-    return int(np.sum(taus > 1.0))
-
-
 def centered_eigenvalue_limit(tau):
     """Limit of (lambda_1 - 1)/sqrt(beta): tau^2 + tau^-2 above threshold, else 2.
 
@@ -75,15 +61,26 @@ def centered_eigenvalue_limit(tau):
 def spike_eigenvalue_location(theta, beta):
     """Limiting outlier eigenvalue (1 + theta^2)(beta + theta^2) / theta^2.
 
-    Requires theta^2 >= sqrt(beta) (a detectable spike; at equality the value
+    Requires theta >= beta^(1/4) (a detectable spike; at equality the value
     reduces to the bulk edge); coincides with d_transform_inverse(theta^-2, beta).
     """
-    t2 = theta * theta
-    if t2 < math.sqrt(beta):
+    if theta < beta ** 0.25:
         raise DomainError(
-            f"theta^2={t2:.6g} below the detection threshold sqrt(beta)={math.sqrt(beta):.6g}"
+            f"theta={theta:.6g} below the detection threshold beta^(1/4)={beta ** 0.25:.6g}"
         )
+    t2 = theta * theta
     return (1.0 + t2) * (beta + t2) / t2
+
+
+def outlier_locations(strengths, beta):
+    """Limiting outlier eigenvalue of each signal strength theta; nan where theta <= beta^(1/4).
+
+    For theta = tau * beta^(1/4) the rule theta > beta^(1/4) is tau > 1 bit
+    for bit, since multiplying by beta^(1/4) keeps floating-point order.
+    """
+    threshold = beta ** 0.25
+    return np.array([spike_eigenvalue_location(theta, beta) if theta > threshold else np.nan
+                     for theta in np.asarray(strengths, dtype=float)], dtype=float)
 
 
 def left_cosine_limit(tau):
@@ -100,10 +97,10 @@ def proportional_reference(theta, beta):
     triple ((1 + sqrt(beta))^2, 0, 0). Total on purpose so threshold sweeps work.
     """
     _, edge = mp.bulk_edges(beta)
-    t2 = theta * theta
-    if not theta > beta ** 0.25:
+    lam = outlier_locations([theta], beta)[0]
+    if math.isnan(lam):
         return edge, 0.0, 0.0
-    lam = spike_eigenvalue_location(theta, beta)
+    t2 = theta * theta
     u_sq = 1.0 - beta * (1.0 + t2) / (t2 * (t2 + beta))
     v_sq = 1.0 - (beta + t2) / (t2 * (t2 + 1.0))
     return lam, u_sq, v_sq
@@ -111,23 +108,21 @@ def proportional_reference(theta, beta):
 
 def predict(taus, beta):
     """One TheoryPrediction per spike, in the given (decreasing) tau order."""
-    taus = _check_taus(taus)
     _, edge = mp.bulk_edges(beta)
-    scale = beta ** 0.25
+    taus = np.asarray(taus, dtype=float)
+    theta = calibrate_signal_strengths(taus, np.zeros(taus.shape), beta)
     out = []
-    for tau in taus:
-        above = tau > 1.0
-        theta = tau * scale
-        lam = spike_eigenvalue_location(theta, beta) if above else edge
+    for tau, lam in zip(taus, outlier_locations(theta, beta)):
+        above = not math.isnan(lam)
         out.append(
             TheoryPrediction(
                 tau=float(tau),
                 beta=float(beta),
-                above_threshold=bool(above),
-                lambda_bar=lam,
+                above_threshold=above,
+                lambda_bar=lam if above else edge,
                 centered_limit=centered_eigenvalue_limit(tau),
                 cosine_left=left_cosine_limit(tau),
-                right_overlap_scale=scale,
+                right_overlap_scale=beta ** 0.25,
             )
         )
     return out

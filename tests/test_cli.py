@@ -116,6 +116,11 @@ class TestSimulate:
             outputs.add((out / "trials.csv").read_bytes())
         assert len(outputs) == 1
 
+    def test_eps_below_threshold_is_a_bulk_spike(self, capsys, tmp_path):
+        # tau = 1.05 > 1, but theta = tau beta^(1/4) (1 + eps) is below beta^(1/4).
+        assert run_cli(capsys, "simulate", "--n", "50", "--m", "2500", "--taus", "1.05",
+                       "--eps=-0.1", "--out-dir", str(tmp_path))[0] == 0
+
     def test_metadata_records_provenance(self, capsys, tmp_path):
         assert run_cli(capsys, "simulate", "--n", "20", "--m", "200", "--taus", "2",
                        "--trials", "1", "--out-dir", str(tmp_path))[0] == 0

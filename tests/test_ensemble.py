@@ -140,6 +140,12 @@ class TestModelConfig:
         with pytest.raises(ValidationError):
             ModelConfig(n=10, m=20, r=2, taus=(1.0, 2.0))
 
+    def test_eps_may_not_reorder_or_flip_strengths(self):
+        # Spikes are matched to eigenvalues by rank, so theta must keep tau's order.
+        for taus, eps in (((1.2, 1.1), (-0.2, 0.0)), ((2.0,), (-1.5,))):
+            with pytest.raises(ValidationError):
+                ModelConfig(n=10, m=20, r=len(taus), taus=taus, eps=eps)
+
     def test_aspect_ratio_enforced(self):
         with pytest.raises(ValidationError):
             ModelConfig(n=30, m=20, r=0)

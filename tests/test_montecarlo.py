@@ -45,6 +45,14 @@ class TestRunTrial:
                         for c in (config, noise_only))
             assert [getattr(rec, f) for f in fields] == [getattr(ref, f) for f in fields]
 
+    def test_threshold_reads_the_nominal_strength(self):
+        # eps moves theta = tau beta^(1/4) (1 + eps) across the threshold both ways.
+        below = run_trial(ModelConfig(n=50, m=2500, r=1, taus=(1.05,), eps=(-0.1,), seed=1), 0)
+        assert np.isnan(below.lambda_bar[0])
+        assert below.bulk_top == below.lambda_emp[0]
+        above = run_trial(ModelConfig(n=50, m=2500, r=1, taus=(0.95,), eps=(0.2,), seed=1), 0)
+        assert np.isfinite(above.lambda_bar[0])
+
     def test_fields_match_dense_references(self):
         # The kernel path against the top spectrum of the formed X_tilde and
         # the projection formula on the unscaled Gram X X'.

@@ -6,22 +6,29 @@ import numpy as np
 import pytest
 
 from spikedwide import mp, predictions
-from spikedwide.errors import DomainError, ValidationError
+from spikedwide.errors import DomainError
 
 
-class TestAboveThresholdCount:
-    def test_basic(self):
-        assert predictions.above_threshold_count([2.0, 1.5, 0.5]) == 2
+class TestOutlierLocations:
+    def test_above_threshold_is_the_location(self):
+        beta = 0.01
+        theta = np.array([2.0, 1.5]) * beta ** 0.25
+        assert predictions.outlier_locations(theta, beta).tolist() == \
+            [predictions.spike_eigenvalue_location(t, beta) for t in theta]
 
-    def test_subcritical(self):
-        assert predictions.above_threshold_count([0.9]) == 0
+    def test_at_and_below_threshold_is_nan(self):
+        beta = 0.01
+        got = predictions.outlier_locations([beta ** 0.25, 0.9 * beta ** 0.25], beta)
+        assert np.isnan(got).all()
 
-    def test_boundary_is_strict(self):
-        assert predictions.above_threshold_count([1.0]) == 0
+    def test_empty(self):
+        assert predictions.outlier_locations([], 0.01).shape == (0,)
 
-    def test_ordering_enforced(self):
-        with pytest.raises(ValidationError):
-            predictions.above_threshold_count([1.0, 2.0])
+    def test_boundary_is_strict_on_the_tau_scale(self):
+        # theta > beta^(1/4) is tau > 1 bit for bit, one ulp above 1 included.
+        for beta in (1.0, 0.01, 0.005, 1e-4):
+            assert not predictions.predict((1.0,), beta)[0].above_threshold
+            assert predictions.predict((1.0 + 2 ** -52,), beta)[0].above_threshold
 
 
 class TestCenteredEigenvalueLimit:

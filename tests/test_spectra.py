@@ -244,7 +244,7 @@ class TestGramKernel:
         sample = sample_model(config, 2)
         if truncate:
             sample = assemble_spiked(sample.U, sample.V, sample.theta,
-                                     truncate_normalize(sample.X), config=config)
+                                     truncate_normalize(sample.X))
         kernel = _GramKernel.of(sample)
         k = max(sample.r, 1)
         ref = top_spectrum(sample.X_tilde, k)
