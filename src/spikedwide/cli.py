@@ -29,6 +29,7 @@ from .estimator import analyze, estimate_tau
 from .master import certify_outliers, deterministic_master, rescale_blocks
 from .montecarlo import (
     BetaSchedule,
+    _pinned_map,
     _trial_blas_threads,
     run_experiment,
     sweep,
@@ -130,6 +131,9 @@ def build_parser():
     return parser
 
 
+#: Verbs whose draws run on the pinned-BLAS pool of montecarlo._pinned_map.
+_PINNED_VERBS = {"simulate", "sweep", "verify"}
+
 _META_ONLY = {"verb", "version", "git_describe", "tolerance_provenance",
               "numpy_version", "blas_name", "blas_version", "blas_threads_per_worker"}
 
@@ -180,7 +184,7 @@ def _write_metadata(out_dir, verb, config):
     blas = _blas_build()
     payload["blas_name"] = blas.get("name")
     payload["blas_version"] = blas.get("version")
-    if "parallelism" in config:
+    if verb in _PINNED_VERBS:
         payload["blas_threads_per_worker"] = _trial_blas_threads()
     # Statistical thresholds (eta, ell, ...) carry no universal constants in
     # the underlying theory; the shipped defaults are pilot-calibrated.
@@ -296,15 +300,25 @@ def _cmd_verify(cfg, out_dir):
     ok, lines = _identity_suite()
     for line in lines:
         print(line)
+    config = _model_config(cfg, cfg["n"], cfg["m"])
+
+    def certify(draw):
+        # Only the certificates leave the task, so no sample outlives its draw.
+        # A handled error is returned, so it is raised below in draw order,
+        # after the lines of every earlier draw.
+        try:
+            return certify_outliers(sample_model(config, trial_index=draw),
+                                    ell=cfg["ell"], nodes=cfg["nodes"])
+        except VALIDATION_ERRORS + NUMERICAL_ERRORS as exc:
+            return exc
+
     rows = []
     all_certified = True
-    for draw in range(cfg["draws"]):
-        config = _model_config(cfg, cfg["n"], cfg["m"])
-        sample = sample_model(config, trial_index=draw)
-        try:
-            certs = certify_outliers(sample, ell=cfg["ell"], nodes=cfg["nodes"])
-        except CertificationError as exc:
-            raise CertificationError(f"draw {draw}: {exc}") from exc
+    for draw, certs in enumerate(_pinned_map(certify, cfg["draws"], cfg["draws"])):
+        if isinstance(certs, CertificationError):
+            raise CertificationError(f"draw {draw}: {certs}") from certs
+        if isinstance(certs, Exception):
+            raise certs
         for cert in certs:
             rows.append({"draw": draw, **cert.to_dict()})
             all_certified = all_certified and cert.certified

@@ -3,8 +3,10 @@
 Trials are independent tasks keyed by (experiment seed, trial index); records
 are aggregated in trial order, and every trial's BLAS/LAPACK work runs on one
 OpenBLAS thread, so reports are bitwise identical for any parallelism and any
-core count. The noise-only rate measurements (Stieltjes deviation, projection
-energy) are optional fields of the same trial. CSV output is tidy: one row per
+core count. One private helper, _pinned_map, runs every such pool: the trials
+of run_experiment and the certificate draws of the CLI's `verify`. The
+noise-only rate measurements (Stieltjes deviation, projection energy) are
+optional fields of the same trial. CSV output is tidy: one row per
 (trial, spike).
 """
 
@@ -130,6 +132,24 @@ def _one_blas_thread():
             _pin_depth -= 1
             if _pin_depth == 0:
                 set_(_pin_saved)
+
+
+def _pinned_map(task, count, cap):
+    """[task(0), ..., task(count - 1)] on min(cap, count, available cores) threads.
+
+    The whole map holds _one_blas_thread(), so every task does its BLAS work
+    on one OpenBLAS thread, and results come back in index order whatever
+    the completion order. An error a task does not catch propagates at once,
+    and tasks still queued are cancelled. At least one thread is started,
+    so count = 0 maps to [].
+    """
+    # One BLAS thread per task, so more workers than cores only adds switching.
+    pool = ThreadPoolExecutor(max_workers=max(1, min(cap, count, _available_cores())))
+    try:
+        with _one_blas_thread():
+            return list(pool.map(task, range(count)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _trial_blas_threads():
@@ -294,11 +314,12 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
                    **trial_kwargs):
     """Run `trials` independent trials and aggregate.
 
-    Trials run on a pool of min(parallelism, trials, available cores)
-    threads, each trial on one OpenBLAS thread, and aggregation consumes
-    records in trial order whatever the completion order, so reports are
-    identical for any parallelism. Individual trials may fail with a
-    numerical error; more than 10% failures aborts.
+    Trials run through _pinned_map, the pool `verify` draws share: on
+    min(parallelism, trials, available cores) threads, each trial on one
+    OpenBLAS thread, and aggregation consumes records in trial order whatever
+    the completion order, so reports are identical for any parallelism.
+    Individual trials may fail with a numerical error; more than 10% failures
+    aborts.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -311,14 +332,7 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
         except TRIAL_ERRORS as exc:
             return None, (i, repr(exc))
 
-    # One BLAS thread per trial, so more workers than cores only adds switching.
-    pool = ThreadPoolExecutor(max_workers=min(parallelism, trials, _available_cores()))
-    try:
-        with _one_blas_thread():
-            outcomes = list(pool.map(work, range(trials)))
-    finally:
-        # Any other error propagates at once; trials still queued are cancelled.
-        pool.shutdown(cancel_futures=True)
+    outcomes = _pinned_map(work, trials, parallelism)
     good = [rec for rec, _ in outcomes if rec is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
     if len(failures) > 0.1 * trials or not good:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import spikedwide
-from spikedwide import io
+from spikedwide import cli, io, montecarlo
 from spikedwide.cli import main
 from spikedwide.ensemble import ModelConfig, sample_model, sample_noise, stream
+from spikedwide.errors import CertificationError
 
 SEED = 20260808
 
@@ -201,6 +202,8 @@ class TestSweepVerb:
 
 
 class TestVerify:
+    SMALL = ("--n", "100", "--m", "1000", "--taus", "3,2", "--seed", "7")
+
     def test_certifies_and_reports(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--n", "150", "--m", "15000",
                                "--taus", "2.5", "--signal-family", "orthonormal",
@@ -212,6 +215,67 @@ class TestVerify:
         certs = io.read_json(tmp_path / "certificates.json")
         assert all(c["winding"] == 1 for c in certs)
 
+    def test_certificates_independent_of_the_default_blas_thread_count(self, tmp_path):
+        # At n = 100 the Gram rounds differently under one and two BLAS
+        # threads; draws run on one whatever OPENBLAS_NUM_THREADS says.
+        outputs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "spikedwide.cli", "verify", *self.SMALL,
+                 "--out-dir", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                         PYTHONPATH=str(Path(spikedwide.__file__).parents[1])),
+                check=True, capture_output=True)
+            outputs.add((out / "certificates.json").read_bytes())
+        assert len(outputs) == 1
+
+    def test_worker_count_changes_no_byte(self, capsys, tmp_path, monkeypatch):
+        outputs = set()
+        for cores in (1, 4):
+            monkeypatch.setattr(montecarlo, "_available_cores", lambda: cores)
+            code, out, _ = run_cli(capsys, "verify", *self.SMALL, "--draws", "3",
+                                   "--out-dir", str(tmp_path))
+            assert code == 0
+            outputs.add((out, (tmp_path / "certificates.json").read_bytes()))
+        assert len(outputs) == 1
+
+    def test_first_failing_draw_decides_the_error(self, capsys, tmp_path, monkeypatch):
+        # Draws 1 and 2 fail, in whichever order the pool finishes them: the
+        # error names draw 1, and only draw 0's certificates are printed.
+        draw_of = {}
+        real_sample, real_certify = cli.sample_model, cli.certify_outliers
+
+        def sample(config, trial_index):
+            drawn = real_sample(config, trial_index=trial_index)
+            draw_of[id(drawn)] = trial_index
+            return drawn
+
+        def certify(drawn, **kw):
+            draw = draw_of[id(drawn)]
+            if draw > 0:
+                raise CertificationError(f"synthetic failure {draw}")
+            return real_certify(drawn, **kw)
+
+        monkeypatch.setattr(cli, "sample_model", sample)
+        monkeypatch.setattr(cli, "certify_outliers", certify)
+        code, out, err = run_cli(capsys, "verify", *self.SMALL, "--draws", "3",
+                                 "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == "numerical failure: draw 1: synthetic failure 1\n"
+        certificate_lines = [line for line in out.splitlines() if "certificate" in line]
+        assert len(certificate_lines) == 2
+        assert all(line.startswith("PASS certificate draw=0 ") for line in certificate_lines)
+
+    def test_rerun_from_metadata_reproduces(self, capsys, tmp_path):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(capsys, "verify", *self.SMALL, "--draws", "2",
+                       "--out-dir", str(d1))[0] == 0
+        assert io.read_json(d1 / "metadata.json")["blas_threads_per_worker"] in (1, None)
+        assert run_cli(capsys, "verify", "--config", str(d1 / "metadata.json"),
+                       "--out-dir", str(d2))[0] == 0
+        assert ((d1 / "certificates.json").read_bytes()
+                == (d2 / "certificates.json").read_bytes())
 
     def test_default_flags_certify(self, capsys, tmp_path):
         # i.i.d. signal vectors at the defaults (n=300, m=30000, tau=2, ell=0.2):
