@@ -52,6 +52,7 @@ from .montecarlo import (
     run_experiment,
     run_trial,
     sweep,
+    trial_bytes,
     write_trials_csv,
 )
 from .predictions import (

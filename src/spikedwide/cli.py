@@ -26,13 +26,14 @@ from .errors import (
     ValidationError,
 )
 from .estimator import analyze, estimate_tau
-from .master import certify_outliers, deterministic_master, rescale_blocks
+from .master import certify_outliers, contour_bytes, deterministic_master, rescale_blocks
 from .montecarlo import (
     BetaSchedule,
     _pinned_map,
     _trial_blas_threads,
     run_experiment,
     sweep,
+    trial_bytes,
     write_trials_csv,
 )
 from .predictions import predict, spike_eigenvalue_location
@@ -87,7 +88,7 @@ _VERBS = {
     "simulate": ("run repeated spiked-model trials, write tidy CSV", {
         "seed": 0, "n": 100, "m": 10000, "taus": (2.0,), "eps": (),
         "noise_family": "gaussian", "signal_family": "gaussian_iid",
-        "trials": 10, "parallelism": 1,
+        "trials": 10, "parallelism": 0,
     }),
     "predict": ("theory table for (taus, beta)", {
         "seed": 0, "taus": (2.0,), "beta": 0.01,
@@ -98,7 +99,7 @@ _VERBS = {
     "sweep": ("convergence sweep over n with a beta schedule", {
         "seed": 0, "n_values": (100, 200, 400), "beta_c": 1.0, "beta_alpha": 0.5,
         "taus": (2.0,), "noise_family": "gaussian",
-        "signal_family": "gaussian_iid", "trials": 10, "parallelism": 1,
+        "signal_family": "gaussian_iid", "trials": 10, "parallelism": 0,
     }),
     "verify": ("certify outlier roots on fresh draws and run the identity suite", {
         "seed": 0, "n": 300, "m": 30000, "taus": (2.0,),
@@ -301,20 +302,27 @@ def _cmd_verify(cfg, out_dir):
     for line in lines:
         print(line)
     config = _model_config(cfg, cfg["n"], cfg["m"])
+    failed = []   # draws that raised; no later draw is started after one
 
     def certify(draw):
         # Only the certificates leave the task, so no sample outlives its draw.
         # A handled error is returned, so it is raised below in draw order,
-        # after the lines of every earlier draw.
+        # after the lines of every earlier draw. A draw skipped here comes
+        # after a failed one, so the loop below raises before it reaches it.
+        if failed and min(failed) < draw:
+            return None
         try:
             return certify_outliers(sample_model(config, trial_index=draw),
                                     ell=cfg["ell"], nodes=cfg["nodes"])
         except VALIDATION_ERRORS + NUMERICAL_ERRORS as exc:
+            failed.append(draw)
             return exc
 
+    draw_bytes = (trial_bytes(config.n, config.m, config.r, config.noise_family, False)
+                  + contour_bytes(config.n, config.r, cfg["nodes"]))
     rows = []
     all_certified = True
-    for draw, certs in enumerate(_pinned_map(certify, cfg["draws"], cfg["draws"])):
+    for draw, certs in enumerate(_pinned_map(certify, cfg["draws"], 0, draw_bytes)):
         if isinstance(certs, CertificationError):
             raise CertificationError(f"draw {draw}: {certs}") from certs
         if isinstance(certs, Exception):

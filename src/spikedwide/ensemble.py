@@ -45,18 +45,38 @@ def stream(seed, purpose, index=0):
     return np.random.default_rng(ss)
 
 
+#: Elements per integer draw of the Rademacher sampler: the only transient
+#: beside X is one int32 chunk of 4 * NOISE_CHUNK bytes (a plain cast copy
+#: into X needs no ufunc buffer).
+NOISE_CHUNK = 1 << 16
+
+
+def _rademacher(rng, shape):
+    # PCG64 keeps the spare half of each 64-bit word in its state, so int32
+    # draws made chunk by chunk continue one stream: the bits equal one
+    # integers(0, 2, size=shape, dtype=np.int32) call, mapped to +-1.0.
+    x = np.empty(shape)
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, NOISE_CHUNK):
+        chunk = flat[start:start + NOISE_CHUNK]
+        chunk[...] = rng.integers(0, 2, size=chunk.size, dtype=np.int32)
+        chunk *= 2.0
+        chunk -= 1.0
+    return x
+
+
 def _noise_drawer(family):
     """Resolve a noise family name to a (rng, shape) -> ndarray sampler.
 
     Families are concrete mean-0 variance-1 laws with finite fourth moment:
     'gaussian', 'rademacher', and 'student_t<df>' (df > 4, standardized).
+    Each sampler allocates its float64 result once and fills it in place, so
+    a draw holds one n x m array; montecarlo.trial_bytes counts it once.
     """
     if family == "gaussian":
         return lambda rng, shape: rng.standard_normal(shape)
     if family == "rademacher":
-        # int32 draws the same bits as the default int64 at half the transient size.
-        return lambda rng, shape: (rng.integers(0, 2, size=shape, dtype=np.int32)
-                                   .astype(float) * 2.0 - 1.0)
+        return _rademacher
     if family.startswith("student_t"):
         try:
             df = int(family[len("student_t"):])
@@ -65,7 +85,12 @@ def _noise_drawer(family):
         if df <= 4:
             raise ValidationError("student_t noise needs df > 4 for a finite fourth moment")
         scale = math.sqrt((df - 2.0) / df)
-        return lambda rng, shape: rng.standard_t(df, size=shape) * scale
+
+        def student_t(rng, shape):
+            x = rng.standard_t(df, size=shape)
+            x *= scale
+            return x
+        return student_t
     raise ValidationError(f"unknown noise family {family!r}")
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "EmpiricalMasterEvaluator",
     "rescale_blocks",
     "winding_count",
+    "contour_bytes",
     "certify_outliers",
 ]
 
@@ -220,6 +221,17 @@ def winding_count(f, center, radius, nodes=DEFAULT_NODES):
             f"{coarse:.4f} ({nodes} nodes) are not both close to one integer"
         )
     return int(count)
+
+
+def contour_bytes(n, r, nodes=DEFAULT_NODES):
+    """Bytes one winding_count of an n x n, rank-r evaluator holds at once.
+
+    The determinant is evaluated on 2 * nodes points in one pass: two complex
+    (2 nodes) x n arrays of resolvent denominators, and about three complex
+    (2 nodes) x 2r x 2r arrays of master-matrix entries (tracemalloc on small
+    shapes). certify_outliers holds these beside one trial's arrays.
+    """
+    return 16 * 2 * nodes * (2 * n + 3 * (2 * r) ** 2)
 
 
 def _contour_clear(noise_eigenvalues, center, radius):

@@ -4,10 +4,12 @@ Trials are independent tasks keyed by (experiment seed, trial index); records
 are aggregated in trial order, and every trial's BLAS/LAPACK work runs on one
 OpenBLAS thread, so reports are bitwise identical for any parallelism and any
 core count. One private helper, _pinned_map, runs every such pool: the trials
-of run_experiment and the certificate draws of the CLI's `verify`. The
-noise-only rate measurements (Stieltjes deviation, projection energy) are
-optional fields of the same trial. CSV output is tidy: one row per
-(trial, spike).
+of run_experiment and the certificate draws of the CLI's `verify`. It sizes
+the pool by the cores and by MemAvailable over trial_bytes, the one forecast
+of a trial's peak memory, so the machine chooses how many tasks run at once
+and never what they compute. The noise-only rate measurements (Stieltjes
+deviation, projection energy) are optional fields of the same trial. CSV
+output is tidy: one row per (trial, spike).
 """
 
 import contextlib
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mp
-from .ensemble import assemble_spiked, sample_model, stream, truncate_normalize
+from .ensemble import NOISE_CHUNK, assemble_spiked, sample_model, stream, truncate_normalize
 from .errors import (
     CertificationError,
     DomainError,
@@ -42,6 +44,7 @@ __all__ = [
     "ExperimentReport",
     "BetaSchedule",
     "run_trial",
+    "trial_bytes",
     "run_experiment",
     "sweep",
     "fit_rate",
@@ -134,17 +137,22 @@ def _one_blas_thread():
                 set_(_pin_saved)
 
 
-def _pinned_map(task, count, cap):
-    """[task(0), ..., task(count - 1)] on min(cap, count, available cores) threads.
+def _pinned_map(task, count, cap, task_bytes):
+    """[task(0), ..., task(count - 1)] on a pool of pinned-BLAS threads.
 
-    The whole map holds _one_blas_thread(), so every task does its BLAS work
-    on one OpenBLAS thread, and results come back in index order whatever
-    the completion order. An error a task does not catch propagates at once,
-    and tasks still queued are cancelled. At least one thread is started,
-    so count = 0 maps to [].
+    The pool has max(1, min(cap, count, available cores, MemAvailable //
+    task_bytes)) threads; cap = 0 sets no cap, and an unreadable MemAvailable
+    sets no memory limit. The whole map holds _one_blas_thread(), so every
+    task does its BLAS work on one OpenBLAS thread, and results come back in
+    index order whatever the completion order. An error a task does not
+    catch propagates at once, and tasks still queued are cancelled.
     """
     # One BLAS thread per task, so more workers than cores only adds switching.
-    pool = ThreadPoolExecutor(max_workers=max(1, min(cap, count, _available_cores())))
+    workers = min(cap or count, count, _available_cores())
+    available = _mem_available()
+    if available is not None:
+        workers = min(workers, available // max(1, task_bytes))
+    pool = ThreadPoolExecutor(max_workers=max(1, workers))
     try:
         with _one_blas_thread():
             return list(pool.map(task, range(count)))
@@ -161,6 +169,40 @@ def _available_cores():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _mem_available(meminfo="/proc/meminfo"):
+    """MemAvailable in bytes, or None where the kernel does not report it."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+#: Python objects and small arrays of one trial (about 3 KB under
+#: tracemalloc), rounded up.
+_TRIAL_OVERHEAD = 16 * 1024
+
+
+def trial_bytes(n, m, r, noise_family, truncate_noise):
+    """Forecast of the peak bytes one run_trial holds, measurements on.
+
+    The terms follow tracemalloc on small shapes: the signal vectors U and V;
+    then the largest of three phases, each holding the n x m noise X once:
+    the draw (plus one int32 chunk for Rademacher noise), truncate_noise
+    (truncate_normalize holds two more n x m arrays beside X), and the
+    Gram-once kernel (four n x n arrays at the observed eigh, and the m-vector
+    probe of the projection measurement with its scaled copy).
+    """
+    x = 8 * n * m
+    draw = x + (4 * min(n * m, NOISE_CHUNK) if noise_family == "rademacher" else 0)
+    clip = 3 * x if truncate_noise else 0
+    kernel = x + 8 * ((4 if r else 3) * n * n + 2 * m)
+    return 8 * (n + m) * r + max(draw, clip, kernel) + _TRIAL_OVERHEAD
 
 
 @dataclass(frozen=True)
@@ -310,21 +352,22 @@ def _cross_max(ov):
     return masked.max(axis=0)
 
 
-def run_experiment(config, trials, parallelism=1, schedule="fixed",
+def run_experiment(config, trials, parallelism=0, schedule="fixed",
                    **trial_kwargs):
     """Run `trials` independent trials and aggregate.
 
     Trials run through _pinned_map, the pool `verify` draws share: on
-    min(parallelism, trials, available cores) threads, each trial on one
-    OpenBLAS thread, and aggregation consumes records in trial order whatever
-    the completion order, so reports are identical for any parallelism.
-    Individual trials may fail with a numerical error; more than 10% failures
-    aborts.
+    max(1, min(parallelism, trials, available cores, MemAvailable //
+    trial_bytes)) threads, where parallelism = 0 (the default) sets no cap.
+    Each trial runs on one OpenBLAS thread, and aggregation consumes records
+    in trial order whatever the completion order, so reports are identical
+    for any parallelism. Individual trials may fail with a numerical error;
+    more than 10% failures aborts.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
-    if parallelism < 1:
-        raise ValidationError("parallelism must be >= 1")
+    if parallelism < 0:
+        raise ValidationError("parallelism must be >= 0 (0 sets no cap)")
 
     def work(i):
         try:
@@ -332,7 +375,9 @@ def run_experiment(config, trials, parallelism=1, schedule="fixed",
         except TRIAL_ERRORS as exc:
             return None, (i, repr(exc))
 
-    outcomes = _pinned_map(work, trials, parallelism)
+    outcomes = _pinned_map(work, trials, parallelism, trial_bytes(
+        config.n, config.m, config.r, config.noise_family,
+        trial_kwargs.get("truncate_noise", False)))
     good = [rec for rec, _ in outcomes if rec is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
     if len(failures) > 0.1 * trials or not good:
@@ -380,12 +425,14 @@ class BetaSchedule:
         return f"beta_n = {self.c:g} * n^-{self.alpha:g}"
 
 
-def sweep(base_config, n_values, beta_schedule, trials, parallelism=1,
+def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
           max_entries=200_000_000, **trial_kwargs):
-    """One experiment per n with m_n = round(n / beta_n); returns (config, report) pairs.
+    """One experiment per n with m_n = ceil(n / beta_n); returns (config, report) pairs.
 
-    Rows whose matrices would exceed the memory budget are skipped with a
-    warning instead of failing the sweep.
+    Sizes with n * m > max_entries are skipped with a warning instead of
+    failing the sweep. The rule is fixed, so which sizes run never depends
+    on the machine; the machine's cores and MemAvailable only choose how
+    many trials of a size run at once (see run_experiment).
     """
     results = []
     for n in n_values:

@@ -1,5 +1,6 @@
 """CLI contract: verbs, flag/config precedence, reproducibility, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -116,6 +117,19 @@ class TestSimulate:
                 check=True, capture_output=True)
             outputs.add((out / "trials.csv").read_bytes())
         assert len(outputs) == 1
+
+    def test_rademacher_trials_keep_their_bytes(self, capsys, tmp_path):
+        # sha256 of trials.csv before the Rademacher draw was chunked.
+        assert run_cli(capsys, "simulate", "--n", "50", "--m", "2000", "--taus", "2,1.2",
+                       "--trials", "3", "--seed", "5", "--noise-family", "rademacher",
+                       "--out-dir", str(tmp_path))[0] == 0
+        digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
+        assert digest == "5266420cdba8f1d0f541ef54511ee5106adccda856e4153ce0f7156ef8f82801"
+
+    def test_default_parallelism_sets_no_cap(self, capsys, tmp_path):
+        assert run_cli(capsys, "simulate", "--n", "20", "--m", "200", "--taus", "2",
+                       "--trials", "1", "--out-dir", str(tmp_path))[0] == 0
+        assert io.read_json(tmp_path / "metadata.json")["parallelism"] == 0
 
     def test_eps_below_threshold_is_a_bulk_spike(self, capsys, tmp_path):
         # tau = 1.05 > 1, but theta = tau beta^(1/4) (1 + eps) is below beta^(1/4).
@@ -267,6 +281,21 @@ class TestVerify:
         assert len(certificate_lines) == 2
         assert all(line.startswith("PASS certificate draw=0 ") for line in certificate_lines)
 
+    def test_no_draw_starts_after_a_failed_one(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def certify(drawn, **kw):
+            calls.append(drawn)
+            raise CertificationError("synthetic failure")
+
+        monkeypatch.setattr(cli, "certify_outliers", certify)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+        code, _, err = run_cli(capsys, "verify", *self.SMALL, "--draws", "3",
+                               "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == "numerical failure: draw 0: synthetic failure\n"
+        assert len(calls) == 1
+
     def test_rerun_from_metadata_reproduces(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(capsys, "verify", *self.SMALL, "--draws", "2",
@@ -284,6 +313,9 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--out-dir", str(tmp_path))
         assert code == 0
         assert out.count("PASS certificate") == 3
+        # The bytes certificates.json has had since verify joined the pinned pool.
+        digest = hashlib.sha256((tmp_path / "certificates.json").read_bytes()).hexdigest()
+        assert digest == "496dc95bc5b6614e3fb8f4b982c28986c01f1b1354aa131b8f26b7c6df91b8a8"
 
     def test_uncertifiable_spike_is_numerical_failure(self, capsys, tmp_path):
         # Near-critical spike: the contour around the predicted location

@@ -98,6 +98,30 @@ class TestNoise:
         assert x.tobytes() == old.tobytes()
         assert peak <= 1.6 * x.nbytes, f"peak {peak / x.nbytes:.2f} x X.nbytes"
 
+    @pytest.mark.parametrize("shape", [(333, 1001), (3, 7), (1, ensemble.NOISE_CHUNK + 1)])
+    def test_chunked_rademacher_is_the_one_shot_draw(self, shape):
+        # 333 x 1001 is not a multiple of the chunk, and 3 x 7 is below one.
+        one_shot = (stream(SEED, "noise").integers(0, 2, size=shape, dtype=np.int32)
+                    .astype(float) * 2.0 - 1.0)
+        x = sample_noise(*shape, "rademacher", stream(SEED, "noise"))
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
+    def test_draw_peak_is_x_plus_one_chunk(self, family):
+        # Every sampler fills its one float64 result in place; only the
+        # Rademacher sampler holds a transient, one int32 chunk. The slack
+        # covers the Python objects of the draw (under 2 KB measured).
+        sample_noise(3, 7, family, stream(SEED, "noise"))
+        tracemalloc.start()
+        try:
+            x = sample_noise(300, 1000, family, stream(SEED, "noise"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = 4 * ensemble.NOISE_CHUNK if family == "rademacher" else 0
+        assert peak <= x.nbytes + chunk + 4096, f"peak {peak - x.nbytes} B over X.nbytes"
+
     def test_student_t(self):
         x = sample_noise(400, 400, "student_t8", stream(SEED, "noise"))
         assert abs(x.var() - 1.0) < 0.05

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from spikedwide.master import (
     EmpiricalMasterEvaluator,
     MasterMatrix,
     certify_outliers,
+    contour_bytes,
     deterministic_master,
     empirical_master,
     rescale_blocks,
     semi_empirical_master,
     winding_count,
 )
+from spikedwide.montecarlo import trial_bytes
 from spikedwide.spectra import covariance_eigenvalues, top_spectrum
 
 SEED = 20260808
@@ -280,6 +283,22 @@ class TestCertifyOutliers:
         certs = certify_outliers(sample_model(config))
         assert [c.spike_index for c in certs] == [0]
         assert certs[0].certified
+
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+    def test_draw_peak_within_its_forecast(self, family):
+        # One verify draw (sample, then certify) against the byte budget the
+        # pool gives it: one trial plus the contour's arrays.
+        config = ModelConfig(n=60, m=6000, r=2, taus=(3.0, 2.0), noise_family=family,
+                             signal_family="orthonormal", seed=SEED)
+        assert [c.winding for c in certify_outliers(sample_model(config))] == [1, 1]
+        tracemalloc.start()
+        try:
+            certify_outliers(sample_model(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        forecast = trial_bytes(60, 6000, 2, family, False) + contour_bytes(60, 2)
+        assert peak <= forecast <= 1.25 * peak, f"forecast / peak = {forecast / peak:.3f}"
 
     def test_ell_range_enforced(self):
         config = ModelConfig(n=40, m=2000, r=1, taus=(2.0,), seed=SEED)

@@ -7,6 +7,7 @@ conftest (n=200, beta=0.005, 50 trials per tau).
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,9 +230,98 @@ class TestRunExperiment:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
-        serial, wide = (run_experiment(config, trials=6, parallelism=p) for p in (1, 64))
-        assert serial.to_dict() == wide.to_dict()
-        assert sizes == [1, min(6, CORES)]
+        serial, wide, auto = (run_experiment(config, trials=6, parallelism=p)
+                              for p in (1, 64, 0))
+        assert serial.to_dict() == wide.to_dict() == auto.to_dict()
+        assert sizes == [1, min(6, CORES), min(6, CORES)]
+
+    def test_negative_parallelism_rejected(self):
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        with pytest.raises(ValidationError):
+            run_experiment(config, trials=2, parallelism=-1)
+
+
+class TestWorkerBudget:
+    """The pool size, with cores and MemAvailable patched; no task allocates."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 8)
+        return sizes
+
+    @pytest.mark.parametrize("cap, count, available, workers", [
+        (0, 20, None, 8),            # no cap, no memory reading: the cores
+        (0, 5, None, 5),             # no more workers than tasks
+        (3, 20, None, 3),            # the cap
+        (0, 20, 10 * 1000, 8),       # room for ten tasks: the cores
+        (0, 20, 3 * 1000 + 999, 3),  # room for three tasks
+        (2, 20, 3 * 1000, 2),        # the cap under the budget
+        (0, 20, 999, 1),             # no room for one task: still one worker
+        (0, 0, 10 * 1000, 1),        # nothing to map: one idle worker
+    ])
+    def test_workers_follow_cap_tasks_cores_and_memory(self, monkeypatch, pool_sizes,
+                                                       cap, count, available, workers):
+        monkeypatch.setattr(montecarlo, "_mem_available", lambda: available)
+        assert montecarlo._pinned_map(lambda i: i, count, cap, 1000) == list(range(count))
+        assert pool_sizes == [workers]
+
+    @pytest.mark.parametrize("truncate_noise", [False, True])
+    def test_run_experiment_budgets_by_trial_bytes(self, monkeypatch, pool_sizes,
+                                                   truncate_noise):
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        task = montecarlo.trial_bytes(20, 200, 1, "gaussian", truncate_noise)
+        monkeypatch.setattr(montecarlo, "_mem_available", lambda: 3 * task + task // 2)
+        report = run_experiment(config, trials=6, truncate_noise=truncate_noise)
+        assert pool_sizes == [3] and report.trial_count == 6
+
+    def test_mem_available_reader(self, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       16000000 kB\n"
+                           "MemAvailable:    7750012 kB\n")
+        assert montecarlo._mem_available(meminfo) == 7750012 * 1024
+        meminfo.write_text("MemTotal:       16000000 kB\n")
+        assert montecarlo._mem_available(meminfo) is None
+        assert montecarlo._mem_available(tmp_path / "absent") is None
+
+
+class TestTrialBytes:
+    def test_counts_x_once(self):
+        # Doubling m adds one n x m array (plus terms linear in m), not three.
+        n, m = 200, 40000
+        for family in ("gaussian", "rademacher", "student_t8"):
+            grown = (montecarlo.trial_bytes(n, 2 * m, 2, family, False)
+                     - montecarlo.trial_bytes(n, m, 2, family, False))
+            assert 8 * n * m < grown < 1.05 * 8 * n * m
+        # truncate_normalize holds at most two more n x m arrays beside X.
+        clip = (montecarlo.trial_bytes(n, m, 2, "gaussian", True)
+                - montecarlo.trial_bytes(n, m, 2, "gaussian", False))
+        assert 0 < clip <= 2 * 8 * n * m
+
+    @pytest.mark.parametrize("shape", [(40, 4000), (100, 1000)])
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
+    @pytest.mark.parametrize("truncate_noise", [False, True])
+    def test_bounds_the_measured_peak(self, shape, family, truncate_noise):
+        n, m = shape
+        config = ModelConfig(n=n, m=m, r=2, taus=(3.0, 1.5), noise_family=family, seed=9)
+        kw = dict(measure_stieltjes=True, measure_projection=True,
+                  truncate_noise=truncate_noise)
+        run_trial(config, 0, **kw)   # lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run_trial(config, 0, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        forecast = montecarlo.trial_bytes(n, m, 2, family, truncate_noise)
+        assert peak <= forecast <= 1.25 * peak, f"forecast / peak = {forecast / peak:.3f}"
 
 
 needs_openblas = pytest.mark.skipif(montecarlo._OPENBLAS is None,
