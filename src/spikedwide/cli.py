@@ -7,6 +7,7 @@ that file reproduces the outputs byte for byte. Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -67,9 +68,11 @@ def _parse_spikes(text):
     return taus
 
 
+@functools.cache
 def _git_describe():
     # Describe the package's own checkout only: git may not search above it,
-    # so a copy installed inside an unrelated repository reports None.
+    # so a copy installed inside an unrelated repository reports None. The
+    # code this process imported cannot change under it, so git runs once.
     root = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(

@@ -1,14 +1,17 @@
-"""Matrix CSV and JSON exchange: exact round trips, and a split parse that
-gives np.loadtxt's array or its exact error."""
+"""Matrix CSV and JSON exchange: exact round trips, a split parse that gives
+np.loadtxt's array or its exact error, and a split write that gives the
+serial writer's bytes."""
 
 import errno
 import gzip
+import hashlib
 import json
 import mmap
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +73,20 @@ class TestWriteMatrix:
     def test_rejects_one_dimensional(self, tmp_path):
         with pytest.raises(ValidationError):
             io.write_matrix(tmp_path / "x.csv", np.zeros(3))
+
+    @pytest.mark.parametrize("matrix", [[[1 + 2j, 3]], np.array([[1 + 2j, 3]])])
+    def test_rejects_complex(self, tmp_path, matrix):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValidationError, match="real"):
+            io.write_matrix(path, matrix)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_empty(self, tmp_path, shape):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValidationError, match="at least one row and one column"):
+            io.write_matrix(path, np.zeros(shape))
+        assert not path.exists()
 
 
 class TestSplitParse:
@@ -211,6 +228,154 @@ class TestSplitParse:
     def test_missing_file_is_validation_error(self, tmp_path):
         path = tmp_path / "absent.csv"
         assert read_outcome(path) == loadtxt_outcome(path)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def serial_write(path, matrix, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(io, "_worker_count", lambda: 1)
+        io.write_matrix(path, matrix)
+    return sha256(path)
+
+
+def reaped():
+    """Whether this process has no child left to wait for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def small_write_split(monkeypatch):
+    """Split matrices of a few hundred elements into three row ranges."""
+    monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 16)
+    monkeypatch.setattr(io, "_worker_count", lambda: 3)
+
+
+class TestSplitWrite:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+    def matrix(self, rows=30):
+        x = np.random.default_rng(SEED).standard_normal((rows, len(self.SPECIAL)))
+        x *= 10.0 ** np.arange(-4, 5)
+        # The first and last row of each of the three ranges.
+        for i in (0, 9, 10, 19, 20, 29):
+            x[i] = np.roll(self.SPECIAL, i)
+        return x
+
+    def test_bytes_match_serial_writer(self, tmp_path, small_write_split, monkeypatch, capfd):
+        x = self.matrix()
+        path = tmp_path / "split.csv"
+        assert io._write_split(path, x)
+        assert sha256(path) == serial_write(tmp_path / "serial.csv", x, monkeypatch)
+        io.write_matrix(tmp_path / "public.csv", x)
+        assert sha256(tmp_path / "public.csv") == sha256(path)
+        assert io.read_matrix(path).tobytes() == x.tobytes()
+        assert capfd.readouterr().err == ""
+        assert reaped()
+
+    def test_transposed_view_matches_contiguous_copy(self, tmp_path, small_write_split):
+        # estimate_csv writes X_tilde.T, an F-ordered view.
+        x = np.asfortranarray(self.matrix())
+        assert not x.flags.c_contiguous
+        a, b = tmp_path / "view.csv", tmp_path / "copy.csv"
+        assert io._write_split(a, x)
+        assert io._write_split(b, np.ascontiguousarray(x))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fewer_rows_than_workers_stay_serial(self, tmp_path, small_write_split,
+                                                 monkeypatch, rows):
+        monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 1)
+        x = self.matrix()[:rows]
+        path = tmp_path / "x.csv"
+        assert not io._write_split(path, x)
+        assert not path.exists()
+        io.write_matrix(path, x)
+        assert sha256(path) == serial_write(tmp_path / "serial.csv", x, monkeypatch)
+
+    def test_failed_worker_falls_back_to_serial_rewrite(self, tmp_path, small_write_split,
+                                                        monkeypatch, capfd):
+        x = self.matrix()
+        last_row = x[-1].tobytes()
+        real = io._format_range.__wrapped__
+
+        @io._worker_body
+        def fail_last_range(rows, fd, others):
+            if rows[-1].tobytes() == last_row:
+                os.write(2, b"the last range fails\n")
+                os._exit(1)
+            return real(rows, fd, others)
+
+        monkeypatch.setattr(io, "_format_range", fail_last_range)
+        path = tmp_path / "x.csv"
+        assert not io._write_split(path, x)
+        assert reaped()
+        io.write_matrix(path, x)
+        assert reaped()
+        monkeypatch.undo()
+        assert sha256(path) == serial_write(tmp_path / "serial.csv", x, monkeypatch)
+        assert capfd.readouterr().err == ""
+
+    def test_failed_fork_kills_and_reaps(self, tmp_path, monkeypatch):
+        # Each range's text overfills its pipe: a started worker waits for a
+        # reader that never comes, so it must be killed to be reaped.
+        monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 1000)
+        monkeypatch.setattr(io, "_worker_count", lambda: 3)
+        x = np.random.default_rng(SEED).standard_normal((600, 100))
+        real_fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise OSError(errno.EAGAIN, "no process to spare")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        path = tmp_path / "x.csv"
+        assert not io._write_split(path, x)
+        assert reaped()
+        forks.clear()
+        io.write_matrix(path, x)
+        assert reaped()
+        monkeypatch.undo()
+        assert sha256(path) == serial_write(tmp_path / "serial.csv", x, monkeypatch)
+
+    def test_other_threads_keep_the_write_serial(self, tmp_path, small_write_split):
+        x = self.matrix()
+        path = tmp_path / "x.csv"
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert not io._write_split(path, x)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert io._write_split(path, x)
+
+    def test_parent_holds_no_formatted_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 1000)
+        monkeypatch.setattr(io, "_worker_count", lambda: 3)
+        x = np.random.default_rng(SEED).standard_normal((3000, 100))
+        path = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            assert io._write_split(path, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1 << 20
+        assert path.stat().st_size > 4 * bound
+        assert peak < bound
 
 
 class TestWriteJson:
