@@ -18,14 +18,7 @@ import numpy as np
 
 from . import __version__, estimator, io, master, mp
 from .ensemble import ModelConfig, sample_model
-from .errors import (
-    CertificationError,
-    DomainError,
-    ExperimentError,
-    NumericalError,
-    PoleError,
-    ValidationError,
-)
+from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS, CertificationError, ValidationError
 from .estimator import analyze, estimate_tau
 from .master import certify_outliers, contour_bytes, deterministic_master, rescale_blocks
 from .montecarlo import (
@@ -38,12 +31,6 @@ from .montecarlo import (
     write_trials_csv,
 )
 from .predictions import predict, spike_eigenvalue_location
-
-VALIDATION_ERRORS = (ValidationError, DomainError)
-NUMERICAL_ERRORS = (
-    PoleError, NumericalError, CertificationError, ExperimentError,
-    np.linalg.LinAlgError, FloatingPointError,
-)
 
 
 class _UsageError(Exception):
@@ -246,8 +233,12 @@ def _cmd_sweep(cfg, out_dir):
     return 0
 
 
+@functools.cache
 def _identity_suite():
-    """Fast exact-identity checks; returns (ok, lines)."""
+    """Fast exact-identity checks; returns (ok, lines).
+
+    It reads only the library's own formulas, so a process runs it once.
+    """
     lines = []
     ok = True
 
@@ -297,7 +288,7 @@ def _identity_suite():
             worst = max(worst, abs(tau_hat - tau))
     check("estimator round trip", worst < 1e-10, f"max err {worst:.2e}")
 
-    return ok, lines
+    return ok, tuple(lines)
 
 
 def _cmd_verify(cfg, out_dir):
@@ -305,31 +296,22 @@ def _cmd_verify(cfg, out_dir):
     for line in lines:
         print(line)
     config = _model_config(cfg, cfg["n"], cfg["m"])
-    failed = []   # draws that raised; no later draw is started after one
 
     def certify(draw):
         # Only the certificates leave the task, so no sample outlives its draw.
-        # A handled error is returned, so it is raised below in draw order,
-        # after the lines of every earlier draw. A draw skipped here comes
-        # after a failed one, so the loop below raises before it reaches it.
-        if failed and min(failed) < draw:
-            return None
+        # A failed draw is raised after every earlier draw's certificates are
+        # yielded, so their lines are printed first, as a serial loop would.
         try:
             return certify_outliers(sample_model(config, trial_index=draw),
                                     ell=cfg["ell"], nodes=cfg["nodes"])
-        except VALIDATION_ERRORS + NUMERICAL_ERRORS as exc:
-            failed.append(draw)
-            return exc
+        except CertificationError as exc:
+            raise CertificationError(f"draw {draw}: {exc}") from exc
 
     draw_bytes = (trial_bytes(config.n, config.m, config.r, config.noise_family, False)
                   + contour_bytes(config.n, config.r, cfg["nodes"]))
     rows = []
     all_certified = True
     for draw, certs in enumerate(_pinned_map(certify, cfg["draws"], 0, draw_bytes)):
-        if isinstance(certs, CertificationError):
-            raise CertificationError(f"draw {draw}: {certs}") from certs
-        if isinstance(certs, Exception):
-            raise certs
         for cert in certs:
             rows.append({"draw": draw, **cert.to_dict()})
             all_certified = all_certified and cert.certified

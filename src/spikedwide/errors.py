@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two groups that sort them.
+
+VALIDATION_ERRORS are bad input: the CLI exits 1 on them. NUMERICAL_ERRORS
+are failures of a computation on valid input: the CLI exits 2 on them, and
+montecarlo.TRIAL_ERRORS (these plus DomainError) are the ones a single
+trial may raise without failing its experiment.
+"""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -23,3 +31,10 @@ class CertificationError(RuntimeError):
 
 class ExperimentError(RuntimeError):
     """A Monte Carlo experiment failed as a whole (too many bad trials)."""
+
+
+VALIDATION_ERRORS = (ValidationError, DomainError)
+NUMERICAL_ERRORS = (
+    PoleError, NumericalError, CertificationError, ExperimentError,
+    np.linalg.LinAlgError, FloatingPointError,
+)

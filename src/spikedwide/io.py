@@ -14,6 +14,7 @@ import json
 import mmap
 import os
 import signal
+import sys
 import threading
 
 import numpy as np
@@ -48,16 +49,18 @@ def _worker_count():
 def _worker_body(fn):
     """Make fn the body of a forked worker; calling it never returns.
 
-    The worker sends stderr to /dev/null and leaves through os._exit: 0 when
-    fn returned true, 1 when it returned false or raised. So it prints
-    nothing, and it runs none of the parent's cleanup handlers and flushes
-    none of its buffers.
+    The worker sends file descriptor 2 to /dev/null, and sys.stderr with it
+    (a caller may have pointed sys.stderr at another descriptor), and leaves
+    through os._exit: 0 when fn returned true, 1 when it returned false or raised.
+    So it prints nothing, and it runs none of the parent's cleanup handlers
+    and flushes none of its buffers.
     """
     @functools.wraps(fn)
     def body(*args):
         code = 1
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+            sys.stderr = open(2, "w", closefd=False)
             code = 0 if fn(*args) else 1
         finally:
             os._exit(code)

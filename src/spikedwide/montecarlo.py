@@ -7,7 +7,9 @@ core count. One private helper, _pinned_map, runs every such pool: the trials
 of run_experiment and the certificate draws of the CLI's `verify`. It sizes
 the pool by the cores and by MemAvailable over trial_bytes, the one forecast
 of a trial's peak memory, so the machine chooses how many tasks run at once
-and never what they compute. The noise-only rate measurements (Stieltjes
+and never what they compute. It also decides what a failing task does: no
+task above it starts, and its error is raised after every lower task's
+result, as a serial loop would. The noise-only rate measurements (Stieltjes
 deviation, projection energy) are optional fields of the same trial. CSV
 output is tidy: one row per (trial, spike).
 """
@@ -27,14 +29,7 @@ import numpy as np
 
 from . import mp
 from .ensemble import NOISE_CHUNK, assemble_spiked, sample_model, stream, truncate_normalize
-from .errors import (
-    CertificationError,
-    DomainError,
-    ExperimentError,
-    NumericalError,
-    PoleError,
-    ValidationError,
-)
+from .errors import NUMERICAL_ERRORS, DomainError, ExperimentError, PoleError, ValidationError
 from .predictions import outlier_locations
 from .spectra import _GramKernel, empirical_stieltjes
 
@@ -52,14 +47,7 @@ __all__ = [
 ]
 
 #: Errors a single trial may raise without failing the whole experiment.
-TRIAL_ERRORS = (
-    np.linalg.LinAlgError,
-    FloatingPointError,
-    PoleError,
-    NumericalError,
-    CertificationError,
-    DomainError,
-)
+TRIAL_ERRORS = NUMERICAL_ERRORS + (DomainError,)
 
 #: Stieltjes probe discs are centred at 1 + (2 + PROBE_ETA) sqrt(beta), past the bulk edge.
 PROBE_ETA = 0.5
@@ -138,24 +126,40 @@ def _one_blas_thread():
 
 
 def _pinned_map(task, count, cap, task_bytes):
-    """[task(0), ..., task(count - 1)] on a pool of pinned-BLAS threads.
+    """Yield task(0), ..., task(count - 1) in index order from a pinned-BLAS pool.
 
     The pool has max(1, min(cap, count, available cores, MemAvailable //
     task_bytes)) threads; cap = 0 sets no cap, and an unreadable MemAvailable
-    sets no memory limit. The whole map holds _one_blas_thread(), so every
-    task does its BLAS work on one OpenBLAS thread, and results come back in
-    index order whatever the completion order. An error a task does not
-    catch propagates at once, and tasks still queued are cancelled.
+    sets no memory limit. The generator holds _one_blas_thread() while it
+    runs, so every task, and the consumer's own BLAS calls between results,
+    run on one OpenBLAS thread.
+
+    A task that raises fails the map: no task above it starts, the results
+    of every lower index are yielded whatever the completion order, and then
+    the lowest failing task's own exception is raised. Tasks still queued
+    are cancelled when the generator ends.
     """
     # One BLAS thread per task, so more workers than cores only adds switching.
     workers = min(cap or count, count, _available_cores())
     available = _mem_available()
     if available is not None:
         workers = min(workers, available // max(1, task_bytes))
+    failed = []
+
+    def run(i):
+        # A skipped task lies above a failure, which is raised before it.
+        if failed and min(failed) < i:
+            return None
+        try:
+            return task(i)
+        except BaseException:
+            failed.append(i)
+            raise
+
     pool = ThreadPoolExecutor(max_workers=max(1, workers))
     try:
         with _one_blas_thread():
-            return list(pool.map(task, range(count)))
+            yield from pool.map(run, range(count))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -361,8 +365,9 @@ def run_experiment(config, trials, parallelism=0, schedule="fixed",
     trial_bytes)) threads, where parallelism = 0 (the default) sets no cap.
     Each trial runs on one OpenBLAS thread, and aggregation consumes records
     in trial order whatever the completion order, so reports are identical
-    for any parallelism. Individual trials may fail with a numerical error;
-    more than 10% failures aborts.
+    for any parallelism. Individual trials may fail with one of TRIAL_ERRORS;
+    more than 10% failures aborts. Any other error is raised, and no trial
+    above it starts.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -375,9 +380,9 @@ def run_experiment(config, trials, parallelism=0, schedule="fixed",
         except TRIAL_ERRORS as exc:
             return None, (i, repr(exc))
 
-    outcomes = _pinned_map(work, trials, parallelism, trial_bytes(
+    outcomes = list(_pinned_map(work, trials, parallelism, trial_bytes(
         config.n, config.m, config.r, config.noise_family,
-        trial_kwargs.get("truncate_noise", False)))
+        trial_kwargs.get("truncate_noise", False))))
     good = [rec for rec, _ in outcomes if rec is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
     if len(failures) > 0.1 * trials or not good:

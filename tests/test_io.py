@@ -377,6 +377,27 @@ class TestSplitWrite:
         assert path.stat().st_size > 4 * bound
         assert peak < bound
 
+    def test_python_stderr_of_failing_workers_stays_silent(self, tmp_path, small_split,
+                                                           small_write_split, monkeypatch,
+                                                           capfd):
+        # Under capfd, sys.stderr writes to a descriptor of its own, not fd 2.
+        @io._worker_body
+        def noisy(*args):
+            print("a worker's traceback", file=sys.stderr, flush=True)
+            return False
+
+        x = self.matrix()
+        serial = serial_write(tmp_path / "serial.csv", x, monkeypatch)
+        path = tmp_path / "x.csv"
+        path.write_bytes("".join(rows_text(60)).encode())
+        monkeypatch.setattr(io, "_parse_range", noisy)
+        monkeypatch.setattr(io, "_format_range", noisy)
+        assert read_outcome(path) == loadtxt_outcome(path)
+        io.write_matrix(path, x)
+        assert sha256(path) == serial
+        assert capfd.readouterr().err == ""
+        assert reaped()
+
 
 class TestWriteJson:
     def test_deterministic_bytes(self, tmp_path):

@@ -5,6 +5,7 @@ conftest (n=200, beta=0.005, 50 trials per tau).
 """
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -270,7 +271,7 @@ class TestWorkerBudget:
     def test_workers_follow_cap_tasks_cores_and_memory(self, monkeypatch, pool_sizes,
                                                        cap, count, available, workers):
         monkeypatch.setattr(montecarlo, "_mem_available", lambda: available)
-        assert montecarlo._pinned_map(lambda i: i, count, cap, 1000) == list(range(count))
+        assert list(montecarlo._pinned_map(lambda i: i, count, cap, 1000)) == list(range(count))
         assert pool_sizes == [workers]
 
     @pytest.mark.parametrize("truncate_noise", [False, True])
@@ -290,6 +291,100 @@ class TestWorkerBudget:
         meminfo.write_text("MemTotal:       16000000 kB\n")
         assert montecarlo._mem_available(meminfo) is None
         assert montecarlo._mem_available(tmp_path / "absent") is None
+
+
+class TestPoolFailure:
+    """_pinned_map's stop rule. Tasks record what ran; Events order the failures."""
+
+    @pytest.fixture
+    def consume(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_mem_available", lambda: None)
+
+        def consume(task, count, workers):
+            results = []
+            with pytest.raises(Exception) as info:
+                for result in montecarlo._pinned_map(task, count, workers, 1):
+                    results.append(result)
+            return results, info.value
+
+        return consume
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lower_results_then_the_lowest_failure(self, consume, workers):
+        raised = {i: ValueError(f"task {i}") for i in (2, 3)}
+        task_3_failed = threading.Event()
+
+        def task(i):
+            if i == 2 and workers == 2:
+                # Task 3 fails first, on the other worker.
+                assert task_3_failed.wait(30)
+            if i == 3:
+                task_3_failed.set()
+            if i in raised:
+                raise raised[i]
+            return 10 * i
+
+        results, error = consume(task, 6, workers)
+        assert results == [0, 10]
+        assert error is raised[2]
+
+    def test_no_task_above_a_failure_starts(self, consume):
+        started = []
+        task_1_fails = threading.Event()
+
+        def task(i):
+            started.append(i)
+            if i == 0:
+                # Still running when task 1 fails on the other worker.
+                assert task_1_fails.wait(30)
+            if i == 1:
+                task_1_fails.set()
+                raise ValueError("task 1")
+            return i
+
+        results, error = consume(task, 6, 2)
+        assert results == [0] and str(error) == "task 1"
+        assert sorted(started) == [0, 1]
+
+    def test_lowest_failure_decides_under_contention(self, consume, monkeypatch):
+        # More workers than cores and a short switch interval: in every round
+        # the lowest failing task decides, whichever failure comes first.
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 8)
+        rng = np.random.default_rng(SUITE_SEED)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                raised = {i: ValueError(i) for i in rng.choice(40, 3, replace=False).tolist()}
+
+                def task(i):
+                    if i in raised:
+                        raise raised[i]
+                    return i
+
+                results, error = consume(task, 40, 8)
+                first = min(raised)
+                assert results == list(range(first)) and error is raised[first]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_run_experiment_stops_at_an_uncaught_error(self, monkeypatch):
+        started = []
+        error = KeyError("not a trial error")
+
+        def trial(config, i, **kwargs):
+            started.append(i)
+            if i == 1:
+                raise error
+            return run_trial(config, i, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_trial", trial)
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        with pytest.raises(KeyError) as info:
+            run_experiment(config, trials=5, parallelism=1)
+        assert info.value is error
+        assert started == [0, 1]
 
 
 class TestTrialBytes:
