@@ -9,7 +9,11 @@ so noise, signal, and probe draws never share state and reruns are bitwise
 reproducible regardless of evaluation order.
 """
 
+import contextlib
+import ctypes
 import math
+import mmap
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -51,11 +55,89 @@ def stream(seed, purpose, index=0):
 NOISE_CHUNK = 1 << 16
 
 
+def _available_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_TRACK = ctypes.pythonapi.PyTraceMalloc_Track
+_TRACK.argtypes = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)
+_UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
+_UNTRACK.argtypes = (ctypes.c_uint, ctypes.c_size_t)
+
+#: Mappings of noise draws that died, newest last, kept for the next draws;
+#: at most one per core, as many as a pool of draws holds at once.
+_idle_maps = []
+_IDLE_MAX = _available_cores()
+#: Mapping sizes that have died before: only a repeated size is kept idle.
+_dead_sizes = set()
+#: numpy advises huge pages for its own buffers of 4 MiB or more; so do we.
+_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)
+_HUGEPAGE_BYTES = 1 << 22
+
+
+def _mapped_empty(shape):
+    """Uninitialised float64 array of the given shape in a private mapping.
+
+    malloc serves blocks under its 32 MiB mmap-threshold cap from the calling
+    thread's heap once a larger block has been freed. A draw then reuses the
+    span an earlier draw left, unless smaller blocks took part of it; then
+    the heap grows by one more draw and keeps it, so peak RSS stepped by one
+    X at random. Here a draw takes the newest idle mapping when it is large
+    enough, and otherwise drops every idle mapping and maps afresh. When the
+    last view of a draw dies, its mapping turns idle, except the first of
+    each size, which is unmapped, as malloc unmaps its first mapped block of
+    a size and keeps later ones on its heap. So repeated draws reuse
+    resident pages whatever the heap holds, and a single draw leaves nothing.
+    """
+    nbytes = 8 * math.prod(shape)
+    try:
+        buf = _idle_maps.pop()
+    except IndexError:
+        buf = None
+    if buf is None or len(buf) < nbytes:
+        _idle_maps.clear()
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        if nbytes >= _HUGEPAGE_BYTES and _HUGEPAGE is not None:
+            with contextlib.suppress(OSError):
+                buf.madvise(_HUGEPAGE)
+        # glibc raises its mmap threshold, and its trim threshold to twice
+        # that, when it frees a block it had mapped. A heap-served draw did so
+        # on its first free; without that, every mid-sized array of a trial
+        # is mapped, trimmed and faulted in afresh. One untouched malloc block
+        # of the draw's size, freed at once, raises them the same way.
+        np.empty(nbytes, dtype=np.uint8)
+    return np.asarray(_Lease(buf, shape, nbytes))
+
+
+class _Lease:
+    """One draw's hold on a mapping: numpy keeps it as the base of the array,
+    so it dies with the last view. While it lives, tracemalloc counts the
+    draw's bytes in numpy's domain, as numpy counts its own buffers."""
+
+    def __init__(self, buf, shape, nbytes):
+        self.buf = buf
+        self.address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        self.__array_interface__ = {"version": 3, "typestr": "<f8", "shape": shape,
+                                    "data": (self.address, False)}
+        _TRACK(np.lib.tracemalloc_domain, self.address, nbytes)
+
+    # Bound at definition, so a lease freed at interpreter exit still finds them.
+    def __del__(self, untrack=_UNTRACK, domain=np.lib.tracemalloc_domain,
+                idle=_idle_maps, idle_max=_IDLE_MAX, dead=_dead_sizes):
+        untrack(domain, self.address)
+        size = len(self.buf)
+        if size in dead and len(idle) < idle_max:
+            idle.append(self.buf)
+        dead.add(size)
+
+
 def _rademacher(rng, shape):
     # PCG64 keeps the spare half of each 64-bit word in its state, so int32
     # draws made chunk by chunk continue one stream: the bits equal one
     # integers(0, 2, size=shape, dtype=np.int32) call, mapped to +-1.0.
-    x = np.empty(shape)
+    x = _mapped_empty(shape)
     flat = x.reshape(-1)
     for start in range(0, flat.size, NOISE_CHUNK):
         chunk = flat[start:start + NOISE_CHUNK]
@@ -71,10 +153,13 @@ def _noise_drawer(family):
     Families are concrete mean-0 variance-1 laws with finite fourth moment:
     'gaussian', 'rademacher', and 'student_t<df>' (df > 4, standardized).
     Each sampler allocates its float64 result once and fills it in place, so
-    a draw holds one n x m array; montecarlo.trial_bytes counts it once.
+    a draw holds one n x m array; montecarlo.trial_bytes counts it once. The
+    Gaussian and Rademacher results live in a mapping of their own
+    (_mapped_empty); numpy's Student-t draw takes no output array, so its
+    result comes from malloc.
     """
     if family == "gaussian":
-        return lambda rng, shape: rng.standard_normal(shape)
+        return lambda rng, shape: rng.standard_normal(out=_mapped_empty(shape))
     if family == "rademacher":
         return _rademacher
     if family.startswith("student_t"):

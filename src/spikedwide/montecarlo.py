@@ -18,7 +18,6 @@ import contextlib
 import csv
 import ctypes
 import math
-import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mp
-from .ensemble import NOISE_CHUNK, assemble_spiked, sample_model, stream, truncate_normalize
+from .ensemble import (
+    NOISE_CHUNK,
+    _available_cores,
+    assemble_spiked,
+    sample_model,
+    stream,
+    truncate_normalize,
+)
 from .errors import NUMERICAL_ERRORS, DomainError, ExperimentError, PoleError, ValidationError
 from .predictions import outlier_locations
 from .spectra import _GramKernel, empirical_stieltjes
@@ -167,12 +173,6 @@ def _pinned_map(task, count, cap, task_bytes):
 def _trial_blas_threads():
     """OpenBLAS threads each trial runs on, or None when no handle was found."""
     return None if _OPENBLAS is None else TRIAL_BLAS_THREADS
-
-
-def _available_cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _mem_available(meminfo="/proc/meminfo"):

@@ -1,7 +1,11 @@
 """Model sampling: calibration, signal/noise draws, assembly, truncation."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,13 @@ from spikedwide.ensemble import (
 from spikedwide.errors import ValidationError
 
 SEED = 20260808
+
+
+def _fresh_process_output(script):
+    """stdout of `script` run by a new interpreter that imports this spikedwide."""
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(ensemble.__file__).parents[1]))).stdout
 
 
 class TestCalibration:
@@ -121,6 +132,99 @@ class TestNoise:
             tracemalloc.stop()
         chunk = 4 * ensemble.NOISE_CHUNK if family == "rademacher" else 0
         assert peak <= x.nbytes + chunk + 4096, f"peak {peak - x.nbytes} B over X.nbytes"
+
+    @pytest.mark.parametrize("shape", [(333, 1001), (3, 7)])
+    def test_gaussian_draw_is_the_one_shot_draw(self, shape):
+        one_shot = stream(SEED, "noise").standard_normal(shape)
+        x = sample_noise(*shape, "gaussian", stream(SEED, "noise"))
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
+    def test_tracemalloc_counts_a_draw_while_it_lives(self, family):
+        tracemalloc.start()
+        try:
+            x = sample_noise(300, 1000, family, stream(SEED, "noise"))
+            view = x[1:]
+            nbytes = x.nbytes
+            del x
+            held = tracemalloc.get_traced_memory()[0]
+            del view
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held >= nbytes and left < 4096, (held, left)
+
+    def test_repeated_draws_reuse_one_mapping(self):
+        ensemble._idle_maps.clear()
+        ensemble._dead_sizes.clear()
+
+        def draw(n):
+            return sample_noise(n, 70, "gaussian", stream(SEED, "noise"))
+
+        x = draw(30)
+        del x   # the first mapping of a size to die is unmapped
+        assert ensemble._idle_maps == []
+        x = draw(30)
+        address = x.ctypes.data
+        del x   # a later one is kept
+        assert len(ensemble._idle_maps) == 1
+        smaller = draw(20)
+        assert smaller.ctypes.data == address and ensemble._idle_maps == []
+        del smaller
+        larger = draw(40)   # too large for the idle mapping, which is dropped
+        assert larger.ctypes.data != address and ensemble._idle_maps == []
+
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+    def test_heap_history_does_not_grow_the_next_draw(self, family):
+        # In a fresh process: a 30.5 MiB draw (under malloc's 32 MiB cap on
+        # its mmap threshold) dies below a live block, and a 640 KB block
+        # takes the start of its span. A heap-served next draw no longer fits
+        # there and grows the heap by one more X.
+        script = f"""
+import numpy as np
+from spikedwide.ensemble import sample_noise, stream
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * {os.sysconf("SC_PAGE_SIZE")}
+
+rng = stream(1, "noise")
+first = sample_noise(200, 20000, "{family}", rng)
+del first
+x = sample_noise(200, 20000, "{family}", rng)
+pin = np.ones(50_000)
+del x
+temp = np.ones(80_000)
+before = resident()
+x = sample_noise(200, 20000, "{family}", rng)
+print((resident() - before) / x.nbytes)
+"""
+        ratio = float(_fresh_process_output(script))
+        assert ratio < 0.25, ratio
+
+    def test_mid_sized_arrays_after_a_draw_stay_resident(self):
+        # In a fresh process: after one draw, four 1.6 MB arrays made and
+        # freed together (a contour pass's worth) are served again without
+        # page faults, as they were when the draw itself came from malloc.
+        script = """
+import resource
+import numpy as np
+from spikedwide.ensemble import sample_noise, stream
+
+def churn():
+    arrays = [np.ones(200_000) for _ in range(4)]
+    del arrays
+
+x = sample_noise(200, 20000, "gaussian", stream(1, "noise"))
+churn()
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        faults = int(_fresh_process_output(script))
+        assert faults < 200, faults
 
     def test_student_t(self):
         x = sample_noise(400, 400, "student_t8", stream(SEED, "noise"))
