@@ -14,6 +14,7 @@ import ctypes
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -49,9 +50,9 @@ def stream(seed, purpose, index=0):
     return np.random.default_rng(ss)
 
 
-#: Elements per integer draw of the Rademacher sampler: the only transient
-#: beside X is one int32 chunk of 4 * NOISE_CHUNK bytes (a plain cast copy
-#: into X needs no ufunc buffer).
+#: Elements per raw-word draw of the Rademacher sampler: the only transient
+#: beside X is one chunk of 32-bit halves, 4 * NOISE_CHUNK bytes (a plain cast
+#: copy into X needs no ufunc buffer).
 NOISE_CHUNK = 1 << 16
 
 
@@ -134,17 +135,47 @@ class _Lease:
 
 
 def _rademacher(rng, shape):
-    # PCG64 keeps the spare half of each 64-bit word in its state, so int32
-    # draws made chunk by chunk continue one stream: the bits equal one
-    # integers(0, 2, size=shape, dtype=np.int32) call, mapped to +-1.0.
+    """+-1.0 noise with the bits of one integers(0, 2, size=shape, dtype=np.int32)
+    call, drawn NOISE_CHUNK entries at a time.
+
+    That call returns the top bit of each 32-bit half of the generator's
+    64-bit words, low half first, and keeps an unused high half in the state
+    (has_uint32) for the next 32-bit draw. _raw_signs reads the words with
+    random_raw and honours that half, so the bits and the stream that follows
+    are the same. MT19937, whose state has no such half, and big-endian hosts
+    draw through integers.
+    """
     x = _mapped_empty(shape)
     flat = x.reshape(-1)
+    bitgen = rng.bit_generator
+    raw = "has_uint32" in bitgen.state and sys.byteorder == "little"
     for start in range(0, flat.size, NOISE_CHUNK):
         chunk = flat[start:start + NOISE_CHUNK]
-        chunk[...] = rng.integers(0, 2, size=chunk.size, dtype=np.int32)
+        if raw:
+            _raw_signs(bitgen, chunk)
+        else:
+            chunk[...] = rng.integers(0, 2, size=chunk.size, dtype=np.int32)
         chunk *= 2.0
         chunk -= 1.0
     return x
+
+
+def _raw_signs(bitgen, out):
+    """Fill out with the top bits (0.0 or 1.0) of the next out.size 32-bit halves."""
+    state = bitgen.state
+    if state["has_uint32"]:
+        out[0] = state["uinteger"] >> 31
+        out = out[1:]
+        state["has_uint32"] = 0
+        bitgen.state = state
+    count = out.size
+    halves = bitgen.random_raw((count + 1) // 2).view(np.uint32)
+    if count % 2:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(halves[-1])
+        bitgen.state = state
+    halves >>= 31
+    out[...] = halves[:count]
 
 
 def _noise_drawer(family):

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import mp
 from .errors import DomainError, ValidationError
+from .montecarlo import _one_blas_thread
 from .predictions import left_cosine_limit
 from .spectra import covariance_eigenvalues
 
@@ -84,12 +85,15 @@ def estimate_tau(lambda_hat, beta):
     return tau_hat, theta_hat
 
 
+@_one_blas_thread()
 def analyze(X, eta=DEFAULT_ETA):
     """Full estimation report for an observed (unscaled) matrix.
 
     Tall inputs are transposed internally (left/right roles swap; the report
     flags it). subcritical_count is a 0/1 stop flag, not a count: 1 when the
-    scan stopped at an eigenvalue below the threshold.
+    scan stopped at an eigenvalue below the threshold. The Gram and its
+    eigenvalues are computed on one OpenBLAS thread, as every trial's are, so
+    the report does not depend on OPENBLAS_NUM_THREADS.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:

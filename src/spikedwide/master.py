@@ -133,8 +133,10 @@ class EmpiricalMasterEvaluator:
     through the identity
     ((1/m) X'X - z)^{-1} = -(1/z) (I_m - (1/m) X' ((1/m) XX' - z)^{-1} X),
     so the resolvent forms are those of P = Q' [U | X V / sqrt(m)] in the
-    diagonal 1 / (w - z): at any array of z, one product (1 / (w - z)) @ T
-    with the n x (2r)^2 table T of products P_ki P_kj, built once.
+    diagonal 1 / (w - z). At any array of z they take two real products,
+    Re(1 / (w - z)) @ T and Im(1 / (w - z)) @ T, with the n x r(2r+1) table T
+    of products P_ki P_kj for i <= j, built once and expanded to 2r x 2r by
+    an index map.
     """
 
     def __init__(self, sample, kernel=None):
@@ -148,17 +150,27 @@ class EmpiricalMasterEvaluator:
         self.noise_eigenvalues = kernel.noise_eigenvalues
         self._w = w
         p = q.T @ np.hstack([sample.U, kernel.XV / math.sqrt(sample.m)])   # n x 2r
-        self._table = (p[:, :, None] * p[:, None, :]).reshape(len(w), -1)
+        i, j = np.triu_indices(p.shape[1])
+        self._table = p[:, i] * p[:, j]                      # n x r(2r+1), i <= j
+        pair = np.empty((p.shape[1],) * 2, dtype=int)
+        pair[i, j] = pair[j, i] = np.arange(i.size)
+        self._expand = pair.reshape(-1)     # table column of each 2r x 2r entry
         self._vv = kernel.VV                                                # r x r
 
     def _entries(self, z):
         """The 2r x 2r entries at z, stacked along the leading axes of z."""
         z = np.asarray(z, dtype=complex)
-        diff = self._w - z[..., None]
-        if np.min(np.abs(diff)) <= 1e-12:
+        # 1 / (w - z) = (d + i Im z) / d2 with d = w - Re z and d2 = |w - z|^2.
+        d = self._w - z.real[..., None]
+        d2 = d * d
+        d2 += (z.imag * z.imag)[..., None]
+        if np.min(d2) <= 1e-24:
             raise PoleError("z within 1e-12 of a noise eigenvalue")
+        re = np.divide(d, d2, out=d)
+        im = np.divide(z.imag[..., None], d2, out=d2)
         r = self.theta.shape[0]
-        forms = ((1.0 / diff) @ self._table).reshape(z.shape + (2 * r, 2 * r))
+        forms = (re @ self._table + 1j * (im @ self._table))[..., self._expand]
+        forms = forms.reshape(z.shape + (2 * r, 2 * r))
         sz = np.sqrt(z)[..., None, None]
         return _layout(sz * forms[..., :r, :r], forms[..., :r, r:],
                        (forms[..., r:, r:] - self._vv) / sz, self.theta)
@@ -226,12 +238,12 @@ def winding_count(f, center, radius, nodes=DEFAULT_NODES):
 def contour_bytes(n, r, nodes=DEFAULT_NODES):
     """Bytes one winding_count of an n x n, rank-r evaluator holds at once.
 
-    The determinant is evaluated on 2 * nodes points in one pass: two complex
+    The determinant is evaluated on 2 * nodes points in one pass: two real
     (2 nodes) x n arrays of resolvent denominators, and about three complex
     (2 nodes) x 2r x 2r arrays of master-matrix entries (tracemalloc on small
     shapes). certify_outliers holds these beside one trial's arrays.
     """
-    return 16 * 2 * nodes * (2 * n + 3 * (2 * r) ** 2)
+    return 16 * 2 * nodes * (n + 3 * (2 * r) ** 2)
 
 
 def _contour_clear(noise_eigenvalues, center, radius):

@@ -333,7 +333,7 @@ def run_trial(config, trial_index, measure_stieltjes=False,
 
     proj_energy = None
     if measure_projection:
-        proj_energy = _projection_energy(kernel, config.seed, trial_index)
+        proj_energy = _projection_energy(kernel, sample.X, config.seed, trial_index)
 
     return TrialRecord(
         n=sample.n, m=sample.m, beta=beta, taus=config.taus,
@@ -485,7 +485,8 @@ def probe_deviation(eigenvalues, beta, center, radius, reference=None):
 
 
 # Noise-only measurements on a trial's _GramKernel: both read the kernel's one
-# eigh of (1/m) X X'.
+# eigh of (1/m) X X', and the projection probe's product X v is formed from the
+# trial's X.
 def _stieltjes_deviation(kernel, u_offset):
     n, m = kernel.n, kernel.m
     beta = n / m
@@ -497,10 +498,10 @@ def _stieltjes_deviation(kernel, u_offset):
     return dev * sqrt_beta, ddev * beta
 
 
-def _projection_energy(kernel, seed, trial_index):
+def _projection_energy(kernel, X, seed, trial_index):
     m = kernel.m
     v = stream(seed, "probe", trial_index).standard_normal(m)
-    return kernel.projection_energy(v / math.sqrt(m))
+    return kernel.projection_energy(X @ (v / math.sqrt(m)))
 
 
 def fit_rate(pairs):

@@ -71,9 +71,11 @@ def top_spectrum(X_tilde, k):
 class _GramKernel:
     """Sufficient statistics of one observed X_tilde = X + sqrt(m) U diag(theta) V'.
 
-    Each statistic is computed on first use and kept: the noise Gram
-    G = (1/m) X X' and its eigh, X V and V'V. The observed Gram is the
-    rank-2r update (1/m) X_tilde X_tilde' = G + T + T' with
+    The noise Gram G = (1/m) X X', X V and V'V are computed once, when the
+    kernel is built; no reference to X or V is kept, so the kernel holds
+    n x n, n x r and r x r arrays only. The eigh of G and of the observed
+    Gram are computed on first use and kept. The observed Gram is the rank-2r
+    update (1/m) X_tilde X_tilde' = G + T + T' with
     T = (X V / sqrt(m) + U Theta (V'V) / 2) (U Theta)', exactly symmetric, so
     X_tilde is never formed. Without signal factors the observed Gram is G and
     shares its eigh.
@@ -81,28 +83,18 @@ class _GramKernel:
 
     def __init__(self, X, U=None, theta=None, V=None):
         n, m = X.shape
-        self.X = X
         self.n, self.m = n, m
         self.theta = np.zeros(0) if theta is None else theta
         self.U = np.zeros((n, 0)) if U is None else U
-        self.V = np.zeros((m, 0)) if V is None else V
+        V = np.zeros((m, 0)) if V is None else V
         self.r = self.theta.shape[0]
+        self.G = sample_covariance(X)
+        self.XV = X @ V
+        self.VV = V.T @ V
 
     @classmethod
     def of(cls, sample):
         return cls(sample.X, sample.U, sample.theta, sample.V)
-
-    @cached_property
-    def G(self):
-        return sample_covariance(self.X)
-
-    @cached_property
-    def XV(self):
-        return self.X @ self.V
-
-    @cached_property
-    def VV(self):
-        return self.V.T @ self.V
 
     @cached_property
     def noise_eigh(self):
@@ -169,12 +161,13 @@ class _GramKernel:
         r_v = np.linalg.cholesky(self.VV).T
         return np.linalg.svd((r_u * self.theta) @ r_v.T, compute_uv=False)
 
-    def projection_energy(self, v):
-        """v' X' (X X')^{-1} X v from the eigh of G; raises below full row rank."""
+    def projection_energy(self, xv):
+        """v' X' (X X')^{-1} X v from the eigh of G, given xv = X v; raises
+        below full row rank."""
         w, q = self.noise_eigh
         if w[0] <= RANK_TOL * w[-1]:
             raise NumericalError("X is (numerically) rank deficient")
-        y = q.T @ (self.X @ v)
+        y = q.T @ xv
         return float(np.sum(y * y / w)) / self.m
 
 
@@ -221,4 +214,4 @@ def right_projection_energy(X, v):
         raise ValidationError("need n <= m (wide input)")
     if v.shape != (m,):
         raise ValidationError(f"v must have length m={m}")
-    return _GramKernel(X).projection_energy(v)
+    return _GramKernel(X).projection_energy(X @ v)

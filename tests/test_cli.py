@@ -68,6 +68,25 @@ class TestEstimate:
         assert len(report["outliers"]) == 1
         assert report["outliers"][0]["tau_hat"] == pytest.approx(2.5, abs=0.4)
 
+    def test_report_independent_of_the_default_blas_thread_count(self, tmp_path):
+        # At 10000 x 100 the Gram rounds differently under one and two BLAS
+        # threads; estimate runs on one whatever OPENBLAS_NUM_THREADS says.
+        config = ModelConfig(n=100, m=10000, r=2, taus=(3.0, 1.6),
+                             signal_family="orthonormal", seed=SEED)
+        path = tmp_path / "x.csv"
+        io.write_matrix(path, sample_model(config).X_tilde.T)
+        outputs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "spikedwide.cli", "estimate", "--input", str(path),
+                 "--out-dir", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                         PYTHONPATH=str(Path(spikedwide.__file__).parents[1])),
+                check=True, capture_output=True)
+            outputs.add((out / "report.json").read_bytes())
+        assert len(outputs) == 1
+
     def test_missing_input_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--out-dir", str(tmp_path))
         assert code == 1

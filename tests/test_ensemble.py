@@ -118,6 +118,27 @@ class TestNoise:
         assert x.dtype == np.float64 and x.flags.c_contiguous
         assert x.tobytes() == one_shot.tobytes()
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64,
+                                               np.random.MT19937])
+    @pytest.mark.parametrize("buffered", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (1, ensemble.NOISE_CHUNK + 1),
+                                       (1, 2 * ensemble.NOISE_CHUNK - 1)])
+    def test_raw_word_draw_is_the_int32_draw(self, bit_generator, buffered, shape):
+        # PCG64 and SFC64 are read as raw words, starting with a half left
+        # buffered by earlier int32 draws; MT19937 keeps the integers loop.
+        # Either way the stream goes on as after one integers call.
+        def generator():
+            rng = np.random.Generator(bit_generator(SEED))
+            rng.integers(0, 2, size=buffered, dtype=np.int32)
+            return rng
+
+        rng, ref = generator(), generator()
+        want = ref.integers(0, 2, size=shape, dtype=np.int32).astype(float) * 2.0 - 1.0
+        assert sample_noise(*shape, "rademacher", rng).tobytes() == want.tobytes()
+        assert np.array_equal(rng.integers(0, 2, size=5, dtype=np.int32),
+                              ref.integers(0, 2, size=5, dtype=np.int32))
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
     def test_draw_peak_is_x_plus_one_chunk(self, family):
         # Every sampler fills its one float64 result in place; only the

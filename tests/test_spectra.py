@@ -258,7 +258,7 @@ class TestGramKernel:
         assert np.abs(_match_signs(left, ref.left_vectors) - ref.left_vectors).max() <= 1e-10
         assert sigma == pytest.approx(np.sqrt(ref.eigenvalues[:k]), rel=1e-12)
         v = stream(SEED, "probe").standard_normal(sample.m) / math.sqrt(sample.m)
-        assert kernel.projection_energy(v) == pytest.approx(
+        assert kernel.projection_energy(sample.X @ v) == pytest.approx(
             _gram_projection_energy(sample.X, v), rel=1e-10)
         if sample.r:
             u_cos, v_cos = kernel.signal_cosines(sample.r)
@@ -275,6 +275,17 @@ class TestGramKernel:
         sample = sample_model(config)
         want = sample.theta[0] * np.linalg.norm(sample.U) * np.linalg.norm(sample.V)
         assert _GramKernel.of(sample).signal_strengths()[0] == pytest.approx(want, rel=1e-13)
+
+    def test_kernel_holds_no_m_sized_array(self):
+        config = ModelConfig(n=30, m=900, r=2, taus=(3.0, 2.0), seed=SEED)
+        kernel = _GramKernel.of(sample_model(config))
+        kernel.signal_cosines(2)
+        kernel.projection_energy(np.ones(30))
+        arrays = [a for value in vars(kernel).values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 8
+        assert all(900 not in a.shape for a in arrays)
 
     def test_noise_only_kernel_shares_one_eigh(self):
         x = stream(SEED, "noise").standard_normal((20, 400))
