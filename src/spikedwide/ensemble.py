@@ -50,9 +50,8 @@ def stream(seed, purpose, index=0):
     return np.random.default_rng(ss)
 
 
-#: Elements per raw-word draw of the Rademacher sampler: the only transient
-#: beside X is one chunk of 32-bit halves, 4 * NOISE_CHUNK bytes (a plain cast
-#: copy into X needs no ufunc buffer).
+#: Elements per fill of a noise draw: the only transient beside X is one
+#: chunk of its filler's itemsize (a plain cast copy needs no ufunc buffer).
 NOISE_CHUNK = 1 << 16
 
 
@@ -79,7 +78,7 @@ _HUGEPAGE_BYTES = 1 << 22
 
 
 def _mapped_empty(shape):
-    """Uninitialised float64 array of the given shape in a private mapping.
+    """Uninitialised float64 array in a private mapping: every noise draw's X.
 
     malloc serves blocks under its 32 MiB mmap-threshold cap from the calling
     thread's heap once a larger block has been freed. A draw then reuses the
@@ -134,9 +133,8 @@ class _Lease:
         dead.add(size)
 
 
-def _rademacher(rng, shape):
-    """+-1.0 noise with the bits of one integers(0, 2, size=shape, dtype=np.int32)
-    call, drawn NOISE_CHUNK entries at a time.
+def _rademacher(rng, chunk):
+    """Fill chunk with +-1.0 noise, the bits of integers(0, 2, dtype=np.int32).
 
     That call returns the top bit of each 32-bit half of the generator's
     64-bit words, low half first, and keeps an unused high half in the state
@@ -145,19 +143,13 @@ def _rademacher(rng, shape):
     are the same. MT19937, whose state has no such half, and big-endian hosts
     draw through integers.
     """
-    x = _mapped_empty(shape)
-    flat = x.reshape(-1)
     bitgen = rng.bit_generator
-    raw = "has_uint32" in bitgen.state and sys.byteorder == "little"
-    for start in range(0, flat.size, NOISE_CHUNK):
-        chunk = flat[start:start + NOISE_CHUNK]
-        if raw:
-            _raw_signs(bitgen, chunk)
-        else:
-            chunk[...] = rng.integers(0, 2, size=chunk.size, dtype=np.int32)
-        chunk *= 2.0
-        chunk -= 1.0
-    return x
+    if "has_uint32" in bitgen.state and sys.byteorder == "little":
+        _raw_signs(bitgen, chunk)
+    else:
+        chunk[...] = rng.integers(0, 2, size=chunk.size, dtype=np.int32)
+    chunk *= 2.0
+    chunk -= 1.0
 
 
 def _raw_signs(bitgen, out):
@@ -178,21 +170,19 @@ def _raw_signs(bitgen, out):
     out[...] = halves[:count]
 
 
-def _noise_drawer(family):
-    """Resolve a noise family name to a (rng, shape) -> ndarray sampler.
+def _noise_filler(family):
+    """Resolve a noise family name to (fill, transient itemsize).
 
     Families are concrete mean-0 variance-1 laws with finite fourth moment:
     'gaussian', 'rademacher', and 'student_t<df>' (df > 4, standardized).
-    Each sampler allocates its float64 result once and fills it in place, so
-    a draw holds one n x m array; montecarlo.trial_bytes counts it once. The
-    Gaussian and Rademacher results live in a mapping of their own
-    (_mapped_empty); numpy's Student-t draw takes no output array, so its
-    result comes from malloc.
+    fill(rng, chunk) writes the next chunk.size draws into a float64 chunk
+    with the bits of numpy's one call for the whole matrix, and holds one
+    transient of chunk.size elements of the itemsize (0: none).
     """
     if family == "gaussian":
-        return lambda rng, shape: rng.standard_normal(out=_mapped_empty(shape))
+        return (lambda rng, chunk: rng.standard_normal(out=chunk)), 0
     if family == "rademacher":
-        return _rademacher
+        return _rademacher, 4
     if family.startswith("student_t"):
         try:
             df = int(family[len("student_t"):])
@@ -201,12 +191,8 @@ def _noise_drawer(family):
         if df <= 4:
             raise ValidationError("student_t noise needs df > 4 for a finite fourth moment")
         scale = math.sqrt((df - 2.0) / df)
-
-        def student_t(rng, shape):
-            x = rng.standard_t(df, size=shape)
-            x *= scale
-            return x
-        return student_t
+        return (lambda rng, chunk: np.multiply(rng.standard_t(df, size=chunk.size),
+                                               scale, out=chunk)), 8
     raise ValidationError(f"unknown noise family {family!r}")
 
 
@@ -236,7 +222,7 @@ class ModelConfig:
         if len(self.taus) != self.r or len(self.eps) != self.r:
             raise ValidationError("taus and eps must have length r")
         calibrate_signal_strengths(self.taus, self.eps, self.beta)
-        _noise_drawer(self.noise_family)
+        _noise_filler(self.noise_family)
         if self.signal_family not in SIGNAL_FAMILIES:
             raise ValidationError(f"unknown signal family {self.signal_family!r}")
 
@@ -379,10 +365,16 @@ def _orthonormalize(g):
 
 
 def sample_noise(n, m, noise_family, rng):
-    """n x m matrix of i.i.d. mean-0 variance-1 draws from the named family."""
+    """n x m matrix of i.i.d. mean-0 variance-1 draws from the named family,
+    in one private mapping filled NOISE_CHUNK elements at a time."""
     if n <= 0 or m <= 0:
         raise ValidationError("n and m must be positive")
-    return _noise_drawer(noise_family)(rng, (n, m))
+    fill, _ = _noise_filler(noise_family)
+    x = _mapped_empty((n, m))
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, NOISE_CHUNK):
+        fill(rng, flat[start:start + NOISE_CHUNK])
+    return x
 
 
 def assemble_spiked(U, V, theta, X):

@@ -241,9 +241,13 @@ def contour_bytes(n, r, nodes=DEFAULT_NODES):
     The determinant is evaluated on 2 * nodes points in one pass: two real
     (2 nodes) x n arrays of resolvent denominators, and about three complex
     (2 nodes) x 2r x 2r arrays of master-matrix entries (tracemalloc on small
-    shapes). certify_outliers holds these beside one trial's arrays.
+    shapes). On top comes numpy's ufunc buffer, a fixed np.getbufsize()
+    float64 elements beside both denominators (the in-place d2 += (Im z)^2;
+    the broadcast w - Re z buffers two operands beside one array), which
+    dominates a contour with few nodes. certify_outliers holds these beside
+    one trial's arrays.
     """
-    return 16 * 2 * nodes * (n + 3 * (2 * r) ** 2)
+    return 16 * 2 * nodes * (n + 3 * (2 * r) ** 2) + 8 * np.getbufsize()
 
 
 def _contour_clear(noise_eigenvalues, center, radius):

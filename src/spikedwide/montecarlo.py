@@ -30,6 +30,7 @@ from . import mp
 from .ensemble import (
     NOISE_CHUNK,
     _available_cores,
+    _noise_filler,
     assemble_spiked,
     sample_model,
     stream,
@@ -74,25 +75,23 @@ TRIAL_BLAS_THREADS = 1
 
 
 def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    """(get, set) thread-count functions of the OpenBLAS numpy links, or None.
+
+    They are looked up through a handle on numpy's own linalg extension,
+    whose symbol scope includes the BLAS it was linked against.
+    """
     try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        handle = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                               ("openblas_", "")):
-            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
+        get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
     return None
 
 
@@ -197,13 +196,13 @@ def trial_bytes(n, m, r, noise_family, truncate_noise):
 
     The terms follow tracemalloc on small shapes: the signal vectors U and V;
     then the largest of three phases, each holding the n x m noise X once:
-    the draw (plus one int32 chunk for Rademacher noise), truncate_noise
+    the draw (plus its filler's one chunk transient), truncate_noise
     (truncate_normalize holds two more n x m arrays beside X), and the
     Gram-once kernel (four n x n arrays at the observed eigh, and the m-vector
     probe of the projection measurement with its scaled copy).
     """
     x = 8 * n * m
-    draw = x + (4 * min(n * m, NOISE_CHUNK) if noise_family == "rademacher" else 0)
+    draw = x + _noise_filler(noise_family)[1] * min(n * m, NOISE_CHUNK)
     clip = 3 * x if truncate_noise else 0
     kernel = x + 8 * ((4 if r else 3) * n * n + 2 * m)
     return 8 * (n + m) * r + max(draw, clip, kernel) + _TRIAL_OVERHEAD

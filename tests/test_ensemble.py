@@ -141,8 +141,9 @@ class TestNoise:
 
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
     def test_draw_peak_is_x_plus_one_chunk(self, family):
-        # Every sampler fills its one float64 result in place; only the
-        # Rademacher sampler holds a transient, one int32 chunk. The slack
+        # Every filler writes the one float64 result in place and holds one
+        # chunk of its transient: none for Gaussian noise, 32-bit halves for
+        # Rademacher noise, a float64 draw for Student-t noise. The slack
         # covers the Python objects of the draw (under 2 KB measured).
         sample_noise(3, 7, family, stream(SEED, "noise"))
         tracemalloc.start()
@@ -151,15 +152,31 @@ class TestNoise:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        chunk = 4 * ensemble.NOISE_CHUNK if family == "rademacher" else 0
+        chunk = ensemble._noise_filler(family)[1] * ensemble.NOISE_CHUNK
         assert peak <= x.nbytes + chunk + 4096, f"peak {peak - x.nbytes} B over X.nbytes"
 
-    @pytest.mark.parametrize("shape", [(333, 1001), (3, 7)])
+    @pytest.mark.parametrize("shape", [(333, 1001), (3, 7), (1, ensemble.NOISE_CHUNK + 1)])
     def test_gaussian_draw_is_the_one_shot_draw(self, shape):
-        one_shot = stream(SEED, "noise").standard_normal(shape)
-        x = sample_noise(*shape, "gaussian", stream(SEED, "noise"))
-        assert x.dtype == np.float64 and x.flags.c_contiguous
-        assert x.tobytes() == one_shot.tobytes()
+        # Every family's chunked draw has the bits of numpy's one call for
+        # the whole matrix and leaves the generator where that call does.
+        def one_shot(family, rng):
+            if family == "gaussian":
+                return rng.standard_normal(shape)
+            if family == "rademacher":
+                return rng.integers(0, 2, size=shape, dtype=np.int32) * 2.0 - 1.0
+            return rng.standard_t(8, size=shape) * math.sqrt(6.0 / 8.0)
+
+        def live_state(rng):
+            # A buffered 32-bit half that is marked unused is never read.
+            state = rng.bit_generator.state
+            return state if state["has_uint32"] else dict(state, uinteger=None)
+
+        for family in ("gaussian", "rademacher", "student_t8"):
+            rng, ref = stream(SEED, "noise"), stream(SEED, "noise")
+            x = sample_noise(*shape, family, rng)
+            assert x.dtype == np.float64 and x.flags.c_contiguous
+            assert x.tobytes() == one_shot(family, ref).tobytes(), family
+            assert live_state(rng) == live_state(ref), family
 
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
     def test_tracemalloc_counts_a_draw_while_it_lives(self, family):
@@ -177,26 +194,27 @@ class TestNoise:
         assert held >= nbytes and left < 4096, (held, left)
 
     def test_repeated_draws_reuse_one_mapping(self):
-        ensemble._idle_maps.clear()
-        ensemble._dead_sizes.clear()
+        for family in ("gaussian", "rademacher", "student_t8"):
+            ensemble._idle_maps.clear()
+            ensemble._dead_sizes.clear()
 
-        def draw(n):
-            return sample_noise(n, 70, "gaussian", stream(SEED, "noise"))
+            def draw(n):
+                return sample_noise(n, 70, family, stream(SEED, "noise"))
 
-        x = draw(30)
-        del x   # the first mapping of a size to die is unmapped
-        assert ensemble._idle_maps == []
-        x = draw(30)
-        address = x.ctypes.data
-        del x   # a later one is kept
-        assert len(ensemble._idle_maps) == 1
-        smaller = draw(20)
-        assert smaller.ctypes.data == address and ensemble._idle_maps == []
-        del smaller
-        larger = draw(40)   # too large for the idle mapping, which is dropped
-        assert larger.ctypes.data != address and ensemble._idle_maps == []
+            x = draw(30)
+            del x   # the first mapping of a size to die is unmapped
+            assert ensemble._idle_maps == []
+            x = draw(30)
+            address = x.ctypes.data
+            del x   # a later one is kept
+            assert len(ensemble._idle_maps) == 1
+            smaller = draw(20)
+            assert smaller.ctypes.data == address and ensemble._idle_maps == []
+            del smaller
+            larger = draw(40)   # too large for the idle mapping, which is dropped
+            assert larger.ctypes.data != address and ensemble._idle_maps == []
 
-    @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
     def test_heap_history_does_not_grow_the_next_draw(self, family):
         # In a fresh process: a 30.5 MiB draw (under malloc's 32 MiB cap on
         # its mmap threshold) dies below a live block, and a 640 KB block

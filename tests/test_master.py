@@ -226,6 +226,28 @@ class TestWindingCount:
                   for nodes in (64, 128, 256)}
         assert len(set(counts.values())) == 1
 
+    @pytest.mark.parametrize("nodes", [64, 256])
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("n", [20, 100, 300])
+    def test_contour_peak_within_its_forecast(self, n, r, nodes):
+        # numpy's fixed ufunc buffer outweighs the per-node arrays of a
+        # contour with few nodes; at the default 256 the forecast is tight.
+        config = ModelConfig(n=n, m=10 * n, r=r, taus=(3.0, 2.6, 2.2, 1.8)[:r],
+                             seed=SEED, signal_family="orthonormal")
+        evaluator = EmpiricalMasterEvaluator(sample_model(config))
+        center = evaluator.noise_eigenvalues.max() + 1.0
+        winding_count(evaluator.det, center, 0.25, nodes)
+        tracemalloc.start()
+        try:
+            winding_count(evaluator.det, center, 0.25, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        forecast = contour_bytes(n, r, nodes)
+        assert peak <= forecast, f"peak {peak} B over forecast {forecast} B"
+        if nodes == 256:
+            assert forecast <= 1.25 * peak, f"forecast / peak = {forecast / peak:.3f}"
+
 
 class TestCertifyOutliers:
     def test_strong_spike_certified(self):
