@@ -7,14 +7,31 @@ calibrated as theta_i = tau_i * beta^(1/4) * (1 + eps_i), beta = n/m.
 Randomness is drawn from counter-based streams keyed by (seed, purpose, index),
 so noise, signal, and probe draws never share state and reruns are bitwise
 reproducible regardless of evaluation order.
+
+A large Gaussian or Student-t noise draw runs on the cores no pool holds,
+with the bits and the end state of the serial draw. It is cut into
+contiguous pieces of X's flat view, one per idle core, each of at least
+SPLIT_MIN values. Piece 0 is drawn from the caller's generator; the piece
+from flat index lo on is drawn on its own thread from a copy advanced by
+WORDS_MIN * (lo - 8) words. No value takes fewer words, so the copy starts
+at or before value lo - 8, and once in step with the serial stream it
+repeats the previous piece's last 8 values. Seam by seam, in order, the
+index after their first copy is the overlap s: the piece moves left by s
+and draws s more values at its end. A piece with no copy is drawn again
+from the previous piece's generator, as the serial draw does. Idle cores
+come from one process-wide budget: montecarlo._pinned_map holds its worker
+count while it runs, and a draw takes what is left without waiting and
+gives it back when it ends.
 """
 
 import contextlib
+import copy
 import ctypes
 import math
 import mmap
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -55,10 +72,57 @@ def stream(seed, purpose, index=0):
 NOISE_CHUNK = 1 << 16
 
 
+#: Fewest values in one piece of a split draw.
+SPLIT_MIN = 16 * NOISE_CHUNK
+#: Fewest 64-bit words one value takes: a normal, or for Student-t a normal
+#: plus the normal and the uniform of its gamma.
+WORDS_MIN = {"gaussian": 1, "student_t": 3}
+#: Values matched to find a seam.
+_SEAM = 8
+#: Values compared per step of the seam search: its transient is one byte
+#: per value, small beside any filler's chunk.
+_SCAN = 1 << 12
+
+
 def _available_cores():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_budget_lock = threading.Lock()
+#: Cores held by running pools and by the helper threads of split draws.
+_cores_held = 0
+
+
+@contextlib.contextmanager
+def _hold_cores(count, idle_only=False):
+    """Hold count cores of the process-wide budget while the body runs;
+    yields the number held.
+
+    With idle_only it never waits: it holds only as many as the budget
+    leaves idle, where the calling thread takes one core when nothing else
+    holds any (a pool's worker was counted by its pool).
+    """
+    global _cores_held
+    with _budget_lock:
+        if idle_only:
+            count = max(0, min(count, _available_cores() - max(1, _cores_held)))
+        _cores_held += count
+    try:
+        yield count
+    finally:
+        with _budget_lock:
+            _cores_held -= count
+
+
+def _pieces_max(size, words):
+    """Most pieces a draw of size values splits into: one per core, each of
+    at least SPLIT_MIN values; one where a value takes no known least word
+    count (words = 0)."""
+    if not words:
+        return 1
+    return max(1, min(_available_cores(), size // SPLIT_MIN))
 
 
 _TRACK = ctypes.pythonapi.PyTraceMalloc_Track
@@ -171,18 +235,20 @@ def _raw_signs(bitgen, out):
 
 
 def _noise_filler(family):
-    """Resolve a noise family name to (fill, transient itemsize).
+    """Resolve a noise family name to (fill, transient itemsize, words).
 
     Families are concrete mean-0 variance-1 laws with finite fourth moment:
     'gaussian', 'rademacher', and 'student_t<df>' (df > 4, standardized).
     fill(rng, chunk) writes the next chunk.size draws into a float64 chunk
     with the bits of numpy's one call for the whole matrix, and holds one
-    transient of chunk.size elements of the itemsize (0: none).
+    transient of chunk.size elements of the itemsize (0: none). words is
+    WORDS_MIN of the family, or 0 for Rademacher noise, whose +-1 values
+    cannot mark a seam, so its draw is never split.
     """
     if family == "gaussian":
-        return (lambda rng, chunk: rng.standard_normal(out=chunk)), 0
+        return (lambda rng, chunk: rng.standard_normal(out=chunk)), 0, WORDS_MIN["gaussian"]
     if family == "rademacher":
-        return _rademacher, 4
+        return _rademacher, 4, 0
     if family.startswith("student_t"):
         try:
             df = int(family[len("student_t"):])
@@ -192,7 +258,7 @@ def _noise_filler(family):
             raise ValidationError("student_t noise needs df > 4 for a finite fourth moment")
         scale = math.sqrt((df - 2.0) / df)
         return (lambda rng, chunk: np.multiply(rng.standard_t(df, size=chunk.size),
-                                               scale, out=chunk)), 8
+                                               scale, out=chunk)), 8, WORDS_MIN["student_t"]
     raise ValidationError(f"unknown noise family {family!r}")
 
 
@@ -366,15 +432,124 @@ def _orthonormalize(g):
 
 def sample_noise(n, m, noise_family, rng):
     """n x m matrix of i.i.d. mean-0 variance-1 draws from the named family,
-    in one private mapping filled NOISE_CHUNK elements at a time."""
+    in one private mapping, with the bits and the end state of numpy's one
+    call for the whole matrix.
+
+    Gaussian and Student-t draws from a PCG64 generator are split over the
+    cores the budget leaves idle (see _draw_pieces); other draws are one
+    piece.
+    """
     if n <= 0 or m <= 0:
         raise ValidationError("n and m must be positive")
-    fill, _ = _noise_filler(noise_family)
+    fill, _, words = _noise_filler(noise_family)
+    # Only these bit generators' advance(k) skips k 64-bit words. They are
+    # named here, not at import: loading numpy.random there raised the peak
+    # RSS of a process that draws later by about 0.6 MB.
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        words = 0
     x = _mapped_empty((n, m))
     flat = x.reshape(-1)
-    for start in range(0, flat.size, NOISE_CHUNK):
-        fill(rng, flat[start:start + NOISE_CHUNK])
+    with _hold_cores(_pieces_max(flat.size, words) - 1, idle_only=True) as helpers:
+        _draw_pieces(fill, flat, rng, 1 + helpers, words)
     return x
+
+
+def _draw_pieces(fill, flat, rng, pieces, words):
+    """Fill flat with the bits of one serial draw from rng, in `pieces`
+    contiguous pieces drawn at once; rng ends where the serial draw leaves it.
+
+    Piece 0 is drawn from rng on this thread. Piece i, from flat index lo on,
+    is drawn on a thread of its own from a copy of rng advanced by
+    words * (lo - _SEAM) words, at or before the serial position of value
+    lo - _SEAM. An error in any piece is raised once every piece has ended.
+    Then _align moves each piece onto its true start, in order.
+    """
+    bounds = [flat.size * i // pieces for i in range(pieces + 1)]
+    spans = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    gens = [rng] + [_advanced(rng, words * (lo - _SEAM)) for lo in bounds[1:-1]]
+    errors = [None] * pieces
+
+    def draw(i):
+        try:
+            _fill_span(fill, gens[i], spans[i])
+        except BaseException as exc:
+            errors[i] = exc
+
+    _on_threads(draw, pieces)
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        # Keep no cycle from the error through these frames to X.
+        errors.clear()
+        try:
+            raise error
+        finally:
+            del error
+    for i in range(1, pieces):
+        gens[i] = _align(fill, flat[bounds[i] - _SEAM:bounds[i]], spans[i],
+                         gens[i - 1], gens[i])
+    if pieces > 1:
+        state = gens[-1].bit_generator.state
+        # advance() drops a buffered 32-bit half, which the serial draw keeps.
+        kept = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+        rng.bit_generator.state = state
+
+
+def _on_threads(task, count):
+    """Run task(0) on this thread and task(1), ..., task(count - 1) on
+    threads of their own; return once every one has ended."""
+    helpers = []
+    try:
+        for i in range(1, count):
+            helper = threading.Thread(target=task, args=(i,), name="spikedwide-draw")
+            helper.start()
+            helpers.append(helper)
+        task(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+
+
+def _fill_span(fill, rng, span):
+    """Draw span's values from rng, NOISE_CHUNK at a time."""
+    for start in range(0, span.size, NOISE_CHUNK):
+        fill(rng, span[start:start + NOISE_CHUNK])
+
+
+def _advanced(rng, words):
+    """A Generator on a copy of rng's bit generator, `words` words further on."""
+    bitgen = copy.deepcopy(rng.bit_generator)
+    bitgen.advance(words)
+    return np.random.Generator(bitgen)
+
+
+def _align(fill, tail, span, prev, gen):
+    """Move span, drawn by gen, onto its true start; return the generator at its end.
+
+    tail is the previous piece's last _SEAM values, and prev the generator at
+    that piece's end. The index after tail's first copy in span is the
+    overlap s: span moves left by s and gen draws s more values at its end.
+    Without a copy, prev draws span again, as the serial draw does.
+    """
+    s = _overlap(tail, span)
+    if s is None:
+        _fill_span(fill, prev, span)
+        return prev
+    # In place: numpy's overlapping copy would allocate a temporary of the span's size.
+    ctypes.memmove(span.ctypes.data, span.ctypes.data + 8 * s, 8 * (span.size - s))
+    _fill_span(fill, gen, span[span.size - s:])
+    return gen
+
+
+def _overlap(tail, span):
+    """Index after the first copy of tail in span, or None; _SCAN values at a time."""
+    key = tail.view(np.int64)
+    bits = span.view(np.int64)
+    for start in range(0, bits.size, _SCAN):
+        for at in start + np.flatnonzero(bits[start:start + _SCAN] == key[0]):
+            if np.array_equal(bits[at:at + _SEAM], key):
+                return int(at) + _SEAM
+    return None
 
 
 def assemble_spiked(U, V, theta, X):

@@ -30,7 +30,9 @@ from . import mp
 from .ensemble import (
     NOISE_CHUNK,
     _available_cores,
+    _hold_cores,
     _noise_filler,
+    _pieces_max,
     assemble_spiked,
     sample_model,
     stream,
@@ -137,7 +139,8 @@ def _pinned_map(task, count, cap, task_bytes):
     task_bytes)) threads; cap = 0 sets no cap, and an unreadable MemAvailable
     sets no memory limit. The generator holds _one_blas_thread() while it
     runs, so every task, and the consumer's own BLAS calls between results,
-    run on one OpenBLAS thread.
+    run on one OpenBLAS thread. It holds its thread count of the core budget
+    as long, so a task's noise draw splits only over the cores left idle.
 
     A task that raises fails the map: no task above it starts, the results
     of every lower index are yielded whatever the completion order, and then
@@ -161,9 +164,10 @@ def _pinned_map(task, count, cap, task_bytes):
             failed.append(i)
             raise
 
-    pool = ThreadPoolExecutor(max_workers=max(1, workers))
+    workers = max(1, workers)
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        with _one_blas_thread():
+        with _one_blas_thread(), _hold_cores(workers):
             yield from pool.map(run, range(count))
     finally:
         pool.shutdown(cancel_futures=True)
@@ -196,13 +200,16 @@ def trial_bytes(n, m, r, noise_family, truncate_noise):
 
     The terms follow tracemalloc on small shapes: the signal vectors U and V;
     then the largest of three phases, each holding the n x m noise X once:
-    the draw (plus its filler's one chunk transient), truncate_noise
+    the draw (plus its filler's chunk transient, once per piece the draw
+    may split into: one per core for a large Gaussian or Student-t draw, of
+    which a Gaussian chunk costs nothing), truncate_noise
     (truncate_normalize holds two more n x m arrays beside X), and the
     Gram-once kernel (four n x n arrays at the observed eigh, and the m-vector
     probe of the projection measurement with its scaled copy).
     """
     x = 8 * n * m
-    draw = x + _noise_filler(noise_family)[1] * min(n * m, NOISE_CHUNK)
+    _, itemsize, words = _noise_filler(noise_family)
+    draw = x + itemsize * min(n * m, NOISE_CHUNK) * _pieces_max(n * m, words)
     clip = 3 * x if truncate_noise else 0
     kernel = x + 8 * ((4 if r else 3) * n * n + 2 * m)
     return 8 * (n + m) * r + max(draw, clip, kernel) + _TRIAL_OVERHEAD

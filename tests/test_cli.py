@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spikedwide
-from spikedwide import cli, io, montecarlo
+from spikedwide import cli, ensemble, io, montecarlo
 from spikedwide.cli import main
 from spikedwide.ensemble import ModelConfig, sample_model, sample_noise, stream
 from spikedwide.errors import CertificationError
@@ -121,6 +121,23 @@ class TestSimulate:
             assert run_cli(capsys, *args, "--parallelism", str(p), "--out-dir", str(out))[0] == 0
             outputs.add((out / "trials.csv").read_bytes())
         assert len(outputs) == 1
+
+    def test_split_draws_keep_the_serial_bytes(self, capsys, tmp_path, monkeypatch):
+        # 64 x 32768 is two pieces of the smallest split: one worker splits
+        # each draw over the idle core, two workers leave none idle, and one
+        # core draws every piece serially.
+        args = ("simulate", "--n", "64", "--m", "32768", "--taus", "2",
+                "--trials", "3", "--seed", "7")
+        outputs = {}
+        for p in (1, 2):
+            out = tmp_path / f"p{p}"
+            assert run_cli(capsys, *args, "--parallelism", str(p), "--out-dir", str(out))[0] == 0
+            outputs[p] = (out / "trials.csv").read_bytes()
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: 1)
+        out = tmp_path / "one_core"
+        assert run_cli(capsys, *args, "--out-dir", str(out))[0] == 0
+        assert outputs[1] == outputs[2] == (out / "trials.csv").read_bytes()
 
     def test_trials_independent_of_the_default_blas_thread_count(self, tmp_path):
         # Trials run on one BLAS thread whatever OPENBLAS_NUM_THREADS says.

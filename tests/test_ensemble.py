@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -274,6 +275,158 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             sample_noise(5, 5, "student_t4", stream(SEED, "noise"))
         with pytest.raises(ValidationError):
             sample_noise(5, 5, "cauchy", stream(SEED, "noise"))
+
+
+def _one_shot(family, rng, shape):
+    if family == "gaussian":
+        return rng.standard_normal(shape)
+    return rng.standard_t(8, size=shape) * math.sqrt(6.0 / 8.0)
+
+
+class TestSplitDraw:
+    """Draws cut into pieces on idle cores keep the serial draw's bits."""
+
+    #: Above three pieces of SPLIT_MIN values, and not a multiple of the chunk.
+    SHAPE = (61, 52000)
+
+    @pytest.fixture
+    def pieces(self, monkeypatch):
+        """The piece count of every draw, recorded through _draw_pieces."""
+        counts = []
+        real = ensemble._draw_pieces
+
+        def recording(fill, flat, rng, pieces, words):
+            counts.append(pieces)
+            return real(fill, flat, rng, pieces, words)
+
+        monkeypatch.setattr(ensemble, "_draw_pieces", recording)
+        return counts
+
+    @staticmethod
+    def generators():
+        # Both hold a buffered 32-bit half, which the split draw must keep.
+        rng, ref = stream(SEED, "noise"), stream(SEED, "noise")
+        for g in (rng, ref):
+            g.integers(0, 2, size=1, dtype=np.int32)
+        return rng, ref
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t8"])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_split_draw_is_the_one_shot_draw(self, monkeypatch, pieces, family, cores):
+        assert math.prod(self.SHAPE) >= 3 * ensemble.SPLIT_MIN
+        assert math.prod(self.SHAPE) % ensemble.NOISE_CHUNK
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: cores)
+        rng, ref = self.generators()
+        x = sample_noise(*self.SHAPE, family, rng)
+        assert pieces == [cores]
+        assert x.tobytes() == _one_shot(family, ref, self.SHAPE).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert ensemble._cores_held == 0
+
+    def test_a_missed_seam_draws_the_piece_again(self, monkeypatch, pieces):
+        # Two words per Gaussian value start every helper piece past its true
+        # start, so no seam is found and every piece is drawn again.
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        monkeypatch.setitem(ensemble.WORDS_MIN, "gaussian", 2)
+        overlaps = []
+        real = ensemble._overlap
+
+        def recording(tail, span):
+            overlaps.append(real(tail, span))
+            return overlaps[-1]
+
+        monkeypatch.setattr(ensemble, "_overlap", recording)
+        rng, ref = self.generators()
+        x = sample_noise(*self.SHAPE, "gaussian", rng)
+        assert pieces == [3] and overlaps == [None, None]
+        assert x.tobytes() == _one_shot("gaussian", ref, self.SHAPE).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("family, bit_generator", [
+        ("rademacher", np.random.PCG64), ("gaussian", np.random.SFC64),
+        ("gaussian", np.random.MT19937), ("student_t8", np.random.SFC64)])
+    def test_unsplittable_draws_stay_one_piece(self, monkeypatch, pieces, family,
+                                               bit_generator):
+        # Rademacher values cannot mark a seam; SFC64 and MT19937 cannot advance.
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        rng, ref = (np.random.Generator(bit_generator(SEED)) for _ in range(2))
+        x = sample_noise(*self.SHAPE, family, rng)
+        if family == "rademacher":
+            want = ref.integers(0, 2, size=self.SHAPE, dtype=np.int32) * 2.0 - 1.0
+        else:
+            want = _one_shot(family, ref, self.SHAPE)
+        assert pieces == [1]
+        assert x.tobytes() == want.tobytes()
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+    def test_a_failed_piece_is_raised_after_every_piece_ends(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        ended = []
+        real = ensemble._fill_span
+
+        def failing(fill, rng, span):
+            try:
+                if threading.current_thread() is not threading.main_thread():
+                    raise KeyError("helper piece")
+                return real(fill, rng, span)
+            finally:
+                ended.append(threading.current_thread().name)
+
+        monkeypatch.setattr(ensemble, "_fill_span", failing)
+        threads = threading.active_count()
+        tracemalloc.start()
+        try:
+            with pytest.raises(KeyError, match="helper piece"):
+                sample_noise(*self.SHAPE, "gaussian", stream(SEED, "noise"))
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(ended) == 3
+        assert threading.active_count() == threads
+        assert ensemble._cores_held == 0
+        assert left < 4096, f"{left} B left after the failed draw"
+
+    @pytest.mark.parametrize("family", ["gaussian", "student_t8"])
+    def test_split_peak_is_x_plus_one_chunk_per_piece(self, monkeypatch, pieces, family):
+        # Each piece holds one chunk of its filler's transient at a time. The
+        # slack covers the Python objects of the draw and, per helper piece,
+        # its running thread and generator copy (about 4.6 KB and 0.8 KB
+        # measured), and the seam search's 4 KB mask.
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        sample_noise(*self.SHAPE, family, stream(SEED, "noise"))
+        rng = stream(SEED, "noise")
+        tracemalloc.start()
+        try:
+            x = sample_noise(*self.SHAPE, family, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pieces == [3, 3]
+        chunk = ensemble._noise_filler(family)[1] * ensemble.NOISE_CHUNK
+        slack = 3 * 4096 + 4096
+        assert peak <= x.nbytes + 3 * chunk + slack, f"peak {peak - x.nbytes} B over X.nbytes"
+
+    def test_no_more_draw_threads_than_cores(self, monkeypatch, pieces):
+        running, most = [0], [0]
+        lock = threading.Lock()
+        real = ensemble._fill_span
+
+        def counting(fill, rng, span):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                return real(fill, rng, span)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(ensemble, "_fill_span", counting)
+        for _ in range(4):
+            sample_noise(*self.SHAPE, "gaussian", stream(SEED, "noise"))
+        cores = ensemble._available_cores()
+        assert pieces == [min(cores, 3)] * 4
+        assert 1 <= most[0] <= cores and running[0] == 0
 
 
 class TestAssembly:

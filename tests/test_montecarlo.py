@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import CORES, SUITE_SEED, SWEEP_BETA, SWEEP_N, SWEEP_TAUS, SWEEP_TRIALS
-from spikedwide import montecarlo
+from spikedwide import ensemble, montecarlo
 from spikedwide.ensemble import ModelConfig, SpikedSample, sample_model, stream
 from spikedwide.errors import ExperimentError, PoleError, ValidationError
 from spikedwide.master import certify_outliers
@@ -385,6 +385,65 @@ class TestPoolFailure:
             run_experiment(config, trials=5, parallelism=1)
         assert info.value is error
         assert started == [0, 1]
+
+
+class TestCoreBudget:
+    """A pool holds its workers of the process-wide core budget, and each
+    trial's noise draw splits over the cores left idle."""
+
+    #: At most two pieces of SPLIT_MIN values per draw.
+    CONFIG = ModelConfig(n=64, m=32768, r=1, taus=(2.0,), seed=9)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Piece counts of every draw and the most fills that ran at once, on 2 cores."""
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 2)
+        monkeypatch.setattr(ensemble, "_available_cores", lambda: 2)
+        seen = {"pieces": [], "running": 0, "most": 0}
+        lock = threading.Lock()
+        draw_pieces, fill_span = ensemble._draw_pieces, ensemble._fill_span
+
+        def recording(fill, flat, rng, pieces, words):
+            with lock:
+                seen["pieces"].append(pieces)
+            return draw_pieces(fill, flat, rng, pieces, words)
+
+        def counting(fill, rng, span):
+            with lock:
+                seen["running"] += 1
+                seen["most"] = max(seen["most"], seen["running"])
+            try:
+                return fill_span(fill, rng, span)
+            finally:
+                with lock:
+                    seen["running"] -= 1
+
+        monkeypatch.setattr(ensemble, "_draw_pieces", recording)
+        monkeypatch.setattr(ensemble, "_fill_span", counting)
+        return seen
+
+    @pytest.mark.parametrize("parallelism, pieces", [(2, 1), (0, 1), (1, 2)])
+    def test_draws_split_over_the_cores_no_worker_holds(self, draws, parallelism, pieces):
+        assert math.prod((self.CONFIG.n, self.CONFIG.m)) == 2 * ensemble.SPLIT_MIN
+        report = run_experiment(self.CONFIG, trials=3, parallelism=parallelism)
+        assert report.trial_count == 3
+        assert draws["pieces"] == [pieces] * 3
+        assert 1 <= draws["most"] <= 2
+        assert ensemble._cores_held == 0
+
+    def test_the_budget_is_released_after_a_task_raises(self, draws):
+        held = []
+
+        def task(i):
+            held.append(ensemble._cores_held)
+            if i == 1:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            list(montecarlo._pinned_map(task, 4, 2, 1))
+        assert held and set(held) == {2}
+        assert ensemble._cores_held == 0
 
 
 class TestTrialBytes:
