@@ -50,6 +50,7 @@ from .montecarlo import (
     TrialRecord,
     fit_rate,
     run_experiment,
+    run_experiments,
     run_trial,
     sweep,
     trial_bytes,

@@ -91,8 +91,11 @@ def _available_cores():
 
 
 _budget_lock = threading.Lock()
-#: Cores held by running pools and by the helper threads of split draws.
+#: Cores held by running pools, by the threads of draws outside any pool and
+#: by the helper threads of split draws.
 _cores_held = 0
+#: pool_worker is set on the threads of a running pool, whose cores the pool holds.
+_thread_role = threading.local()
 
 
 @contextlib.contextmanager
@@ -101,19 +104,20 @@ def _hold_cores(count, idle_only=False):
     yields the number held.
 
     With idle_only it never waits: it holds only as many as the budget
-    leaves idle, where the calling thread takes one core when nothing else
-    holds any (a pool's worker was counted by its pool).
+    leaves idle, after the calling thread's own core, which it holds as
+    well unless the thread is a pool's worker (counted by its pool).
     """
     global _cores_held
+    own = int(idle_only and not getattr(_thread_role, "pool_worker", False))
     with _budget_lock:
         if idle_only:
-            count = max(0, min(count, _available_cores() - max(1, _cores_held)))
-        _cores_held += count
+            count = max(0, min(count, _available_cores() - _cores_held - own))
+        _cores_held += own + count
     try:
         yield count
     finally:
         with _budget_lock:
-            _cores_held -= count
+            _cores_held -= own + count
 
 
 def _pieces_max(size, words):

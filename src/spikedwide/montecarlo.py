@@ -12,6 +12,14 @@ task above it starts, and its error is raised after every lower task's
 result, as a serial loop would. The noise-only rate measurements (Stieltjes
 deviation, projection energy) are optional fields of the same trial. CSV
 output is tidy: one row per (trial, spike).
+
+The streams are keyed by (seed, purpose, trial), never by the strengths, so
+configs that differ only in taus and eps draw the same matrices.
+run_experiments runs them on one draw per trial: the draw, G = X X'/m,
+X V, V'V, the noise eigh and the noise-only fields (stieltjes_dev,
+stieltjes_ddev, proj_energy) are computed once and shared; the rank-2r
+update, the observed eigh and every other field of the record are computed
+per strength. run_experiment and run_trial are its one-config case.
 """
 
 import contextlib
@@ -33,7 +41,9 @@ from .ensemble import (
     _hold_cores,
     _noise_filler,
     _pieces_max,
+    _thread_role,
     assemble_spiked,
+    calibrate_signal_strengths,
     sample_model,
     stream,
     truncate_normalize,
@@ -50,6 +60,7 @@ __all__ = [
     "run_trial",
     "trial_bytes",
     "run_experiment",
+    "run_experiments",
     "sweep",
     "fit_rate",
     "write_trials_csv",
@@ -158,6 +169,7 @@ def _pinned_map(task, count, cap, task_bytes):
         # A skipped task lies above a failure, which is raised before it.
         if failed and min(failed) < i:
             return None
+        _thread_role.pool_worker = True
         try:
             return task(i)
         except BaseException:
@@ -302,7 +314,22 @@ def run_trial(config, trial_index, measure_stieltjes=False,
     independent v with i.i.d. N(0, 1/m) entries inside the row space of X,
     of expected size beta. truncate_noise reruns the draw with
     truncated-and-normalized noise entries (a perturbation that moves
-    eigenvalues by at most O(1/sqrt(nm))).
+    eigenvalues by at most O(1/sqrt(nm))). The one-config case of
+    run_experiments' trial.
+    """
+    return _record(config, trial_index, *_draw_trial(
+        config, trial_index, measure_stieltjes, measure_projection,
+        truncate_noise, u_offset))
+
+
+def _draw_trial(config, trial_index, measure_stieltjes=False,
+                measure_projection=False, truncate_noise=False, u_offset=0.0):
+    """(kernel, noise) of one trial's draw, shared by every strength.
+
+    noise maps the noise-only fields to their values (None when off), or is
+    the TRIAL_ERRORS error computing them raised. The noise eigh is computed
+    here whenever they or a rank-0 spectrum read it, so each strength's copy
+    of the kernel inherits it.
     """
     sample = sample_model(config, trial_index)
     if truncate_noise:
@@ -311,14 +338,33 @@ def run_trial(config, trial_index, measure_stieltjes=False,
     # One set of sufficient statistics serves the spectrum, the overlaps and
     # both noise measurements.
     kernel = _GramKernel.of(sample)
-    beta = sample.beta
-    sqrt_beta = math.sqrt(beta)
-    r = sample.r
-    lam_bar = outlier_locations(sample.theta, beta)
+    noise = dict.fromkeys(("stieltjes_dev", "stieltjes_ddev", "proj_energy"))
+    try:
+        if measure_stieltjes:
+            noise["stieltjes_dev"], noise["stieltjes_ddev"] = _stieltjes_deviation(
+                kernel, u_offset)
+        if measure_projection:
+            noise["proj_energy"] = _projection_energy(kernel, sample.X, config.seed,
+                                                      trial_index)
+        if not kernel.r:
+            kernel.noise_eigh  # the observed eigh of every strength
+    except TRIAL_ERRORS as exc:
+        noise = exc
+    return kernel, noise
+
+
+def _record(config, trial_index, kernel, noise):
+    """config's TrialRecord from _draw_trial's (kernel, noise); a noise error
+    is raised after the strength's own fields, where run_trial met it."""
+    kernel = kernel.with_strengths(
+        calibrate_signal_strengths(config.taus, config.eps, config.beta))
+    n, m, r = kernel.n, kernel.m, kernel.r
+    beta = n / m
+    lam_bar = outlier_locations(kernel.theta, beta)
     i0 = int(np.count_nonzero(~np.isnan(lam_bar)))
     eigenvalues = kernel.eigenvalues
     lambda_emp = eigenvalues[:r].copy()
-    centered_err = np.abs(lambda_emp - lam_bar) / sqrt_beta
+    centered_err = np.abs(lambda_emp - lam_bar) / math.sqrt(beta)
 
     if r:
         # Cosines against unit-normalized signal vectors, so overlaps stay in
@@ -331,24 +377,15 @@ def run_trial(config, trial_index, measure_stieltjes=False,
     else:
         u_overlap = v_overlap = u_cross = v_cross = np.zeros(0)
 
-    bulk_top = float(eigenvalues[i0])
-
-    stieltjes_dev = stieltjes_ddev = None
-    if measure_stieltjes:
-        stieltjes_dev, stieltjes_ddev = _stieltjes_deviation(kernel, u_offset)
-
-    proj_energy = None
-    if measure_projection:
-        proj_energy = _projection_energy(kernel, sample.X, config.seed, trial_index)
-
+    if isinstance(noise, Exception):
+        raise noise
     return TrialRecord(
-        n=sample.n, m=sample.m, beta=beta, taus=config.taus,
+        n=n, m=m, beta=beta, taus=config.taus,
         seed=config.seed, trial=trial_index,
         lambda_emp=lambda_emp, lambda_bar=lam_bar, centered_err=centered_err,
         u_overlap=u_overlap, u_cross_max=u_cross,
         v_overlap=v_overlap, v_cross_max=v_cross,
-        bulk_top=bulk_top, stieltjes_dev=stieltjes_dev,
-        stieltjes_ddev=stieltjes_ddev, proj_energy=proj_energy,
+        bulk_top=float(eigenvalues[i0]), **noise,
     )
 
 
@@ -362,33 +399,75 @@ def _cross_max(ov):
     return masked.max(axis=0)
 
 
-def run_experiment(config, trials, parallelism=0, schedule="fixed",
-                   **trial_kwargs):
-    """Run `trials` independent trials and aggregate.
+#: The ModelConfig fields that decide a trial's draw: all but taus and eps.
+_DRAW_FIELDS = ("n", "m", "r", "noise_family", "signal_family", "seed")
+
+
+def run_experiments(configs, trials, parallelism=0, schedule="fixed",
+                    **trial_kwargs):
+    """Run `trials` independent trials of each config; reports in config order.
+
+    The configs may differ in taus and eps only, so trial i draws the same
+    X, U and V for all of them: each trial is drawn once and builds one
+    record per config. Each report equals the config's own run_experiment.
 
     Trials run through _pinned_map, the pool `verify` draws share: on
     max(1, min(parallelism, trials, available cores, MemAvailable //
     trial_bytes)) threads, where parallelism = 0 (the default) sets no cap.
     Each trial runs on one OpenBLAS thread, and aggregation consumes records
     in trial order whatever the completion order, so reports are identical
-    for any parallelism. Individual trials may fail with one of TRIAL_ERRORS;
-    more than 10% failures aborts. Any other error is raised, and no trial
-    above it starts.
+    for any parallelism. Individual trials may fail with one of TRIAL_ERRORS,
+    at one strength or, in the draw and the noise-only fields, at all of
+    them; more than 10% failures of one config aborts with the error of the
+    first such config. Any other error is raised, and no trial above it
+    starts.
     """
+    configs = list(configs)
+    if not configs:
+        raise ValidationError("need at least one config")
+    base = configs[0]
+    for config in configs:
+        differ = [name for name in _DRAW_FIELDS
+                  if getattr(config, name) != getattr(base, name)]
+        if differ:
+            raise ValidationError(
+                f"configs sharing draws may differ in taus and eps only, not {differ}")
     if trials < 1:
         raise ValidationError("need at least one trial")
     if parallelism < 0:
         raise ValidationError("parallelism must be >= 0 (0 sets no cap)")
 
     def work(i):
-        try:
-            return run_trial(config, i, **trial_kwargs), None
-        except TRIAL_ERRORS as exc:
-            return None, (i, repr(exc))
+        def attempt(build, *args, **kwargs):
+            try:
+                return build(*args, **kwargs), None
+            except TRIAL_ERRORS as exc:
+                # A noise error is raised once per config; drop the frames it
+                # gathered, which hold each config's kernel.
+                exc.__traceback__ = None
+                return None, (i, repr(exc))
 
-    outcomes = list(_pinned_map(work, trials, parallelism, trial_bytes(
-        config.n, config.m, config.r, config.noise_family,
+        shared, failure = attempt(_draw_trial, base, i, **trial_kwargs)
+        if failure is not None:
+            return [(None, failure)] * len(configs)
+        return [attempt(_record, config, i, *shared) for config in configs]
+
+    per_trial = list(_pinned_map(work, trials, parallelism, trial_bytes(
+        base.n, base.m, base.r, base.noise_family,
         trial_kwargs.get("truncate_noise", False))))
+    return [_report(config, schedule, trials, outcomes)
+            for config, outcomes in zip(configs, zip(*per_trial))]
+
+
+def run_experiment(config, trials, parallelism=0, schedule="fixed",
+                   **trial_kwargs):
+    """Run `trials` independent trials of config and aggregate: the
+    one-config case of run_experiments."""
+    return run_experiments([config], trials, parallelism, schedule, **trial_kwargs)[0]
+
+
+def _report(config, schedule, trials, outcomes):
+    """Aggregate one config's (record, failure) outcomes in trial order."""
     good = [rec for rec, _ in outcomes if rec is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
     if len(failures) > 0.1 * trials or not good:

@@ -6,6 +6,7 @@ Top singular triples are recovered from the n x n eigenproblem (never the
 m x m one), which is the cheap side at extreme aspect ratios.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,6 +96,15 @@ class _GramKernel:
     @classmethod
     def of(cls, sample):
         return cls(sample.X, sample.U, sample.theta, sample.V)
+
+    def with_strengths(self, theta):
+        """The kernel of the same X, U and V under strengths theta: a shallow
+        copy sharing every statistic and cache but the observed spectrum."""
+        kernel = copy.copy(self)
+        kernel.theta = theta
+        for name in ("_observed_eigh", "eigenvalues"):
+            kernel.__dict__.pop(name, None)
+        return kernel
 
     @cached_property
     def noise_eigh(self):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from spikedwide import ModelConfig, run_experiment
+from spikedwide import ModelConfig, run_experiment, run_experiments
 
 # One experiment seed for every stochastic check in the suite, fixed up front.
 SUITE_SEED = 20260808
@@ -23,11 +23,11 @@ CORES = len(os.sched_getaffinity(0))
 def tau_sweep_reports():
     """{tau: ExperimentReport} for the phase-transition sweep at n=200, beta=0.005."""
     m = round(SWEEP_N / SWEEP_BETA)
-    reports = {}
-    for tau in SWEEP_TAUS:
-        config = ModelConfig(n=SWEEP_N, m=m, r=1, taus=(tau,), seed=SUITE_SEED)
-        reports[tau] = run_experiment(config, trials=SWEEP_TRIALS, parallelism=CORES)
-    return reports
+    configs = [ModelConfig(n=SWEEP_N, m=m, r=1, taus=(tau,), seed=SUITE_SEED)
+               for tau in SWEEP_TAUS]
+    # Each trial's matrix is drawn once and serves every tau.
+    reports = run_experiments(configs, trials=SWEEP_TRIALS, parallelism=CORES)
+    return dict(zip(SWEEP_TAUS, reports))
 
 
 @pytest.fixture(scope="session")

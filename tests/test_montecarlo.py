@@ -4,6 +4,8 @@ The phase-transition sweep checks reuse the session-scope fixture from
 conftest (n=200, beta=0.005, 50 trials per tau).
 """
 
+import dataclasses
+import json
 import math
 import sys
 import threading
@@ -15,14 +17,21 @@ import pytest
 
 from conftest import CORES, SUITE_SEED, SWEEP_BETA, SWEEP_N, SWEEP_TAUS, SWEEP_TRIALS
 from spikedwide import ensemble, montecarlo
-from spikedwide.ensemble import ModelConfig, SpikedSample, sample_model, stream
-from spikedwide.errors import ExperimentError, PoleError, ValidationError
+from spikedwide.ensemble import (
+    ModelConfig,
+    SpikedSample,
+    calibrate_signal_strengths,
+    sample_model,
+    stream,
+)
+from spikedwide.errors import ExperimentError, NumericalError, PoleError, ValidationError
 from spikedwide.master import certify_outliers
 from spikedwide.montecarlo import (
     BetaSchedule,
     fit_rate,
     probe_deviation,
     run_experiment,
+    run_experiments,
     run_trial,
     sweep,
     write_trials_csv,
@@ -32,7 +41,7 @@ from spikedwide.predictions import (
     left_cosine_limit,
     proportional_reference,
 )
-from spikedwide.spectra import empirical_stieltjes, top_spectrum
+from spikedwide.spectra import _GramKernel, empirical_stieltjes, top_spectrum
 
 
 class TestRunTrial:
@@ -156,14 +165,14 @@ class TestRunExperiment:
         assert set(projection) == {"bulk_top", "proj_energy"}
 
     def test_failure_budget(self, monkeypatch):
-        real = montecarlo.run_trial
+        real = montecarlo._record
 
-        def flaky(config, trial_index, **kw):
+        def flaky(config, trial_index, *args):
             if trial_index % 3 == 0:
                 raise PoleError("synthetic failure")
-            return real(config, trial_index, **kw)
+            return real(config, trial_index, *args)
 
-        monkeypatch.setattr(montecarlo, "run_trial", flaky)
+        monkeypatch.setattr(montecarlo, "_record", flaky)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         with pytest.raises(ExperimentError):
             run_experiment(config, trials=9)
@@ -171,14 +180,14 @@ class TestRunExperiment:
     def test_small_failure_fraction_tolerated(self, monkeypatch):
         # 2 of 20 failures is within the 10% budget; they are recorded in
         # trial order, and the report is the same at any parallelism.
-        real = montecarlo.run_trial
+        real = montecarlo._record
 
-        def flaky(config, trial_index, **kw):
+        def flaky(config, trial_index, *args):
             if trial_index in (2, 5):
                 raise PoleError(f"synthetic failure {trial_index}")
-            return real(config, trial_index, **kw)
+            return real(config, trial_index, *args)
 
-        monkeypatch.setattr(montecarlo, "run_trial", flaky)
+        monkeypatch.setattr(montecarlo, "_record", flaky)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         serial, threaded = (run_experiment(config, trials=20, parallelism=p)
                             for p in (1, 3))
@@ -190,14 +199,14 @@ class TestRunExperiment:
                 == [rec.trial for rec in threaded.records])
 
     def test_failures_listed_in_report(self, monkeypatch):
-        real = montecarlo.run_trial
+        real = montecarlo._record
 
-        def flaky(config, trial_index, **kw):
+        def flaky(config, trial_index, *args):
             if trial_index in (5, 2):
                 raise PoleError(f"synthetic failure {trial_index}")
-            return real(config, trial_index, **kw)
+            return real(config, trial_index, *args)
 
-        monkeypatch.setattr(montecarlo, "run_trial", flaky)
+        monkeypatch.setattr(montecarlo, "_record", flaky)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         for parallelism in (1, 3):
             report = run_experiment(config, trials=20, parallelism=parallelism)
@@ -209,13 +218,13 @@ class TestRunExperiment:
     def test_unexpected_error_propagates(self, monkeypatch, parallelism):
         started = []
 
-        def broken(config, trial_index, **kw):
+        def broken(config, trial_index, *args):
             started.append(trial_index)
             if trial_index == 0:
                 raise RuntimeError("not a trial error")
             time.sleep(0.05)
 
-        monkeypatch.setattr(montecarlo, "run_trial", broken)
+        monkeypatch.setattr(montecarlo, "_record", broken)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         with pytest.raises(RuntimeError, match="not a trial error"):
             run_experiment(config, trials=40, parallelism=parallelism)
@@ -240,6 +249,160 @@ class TestRunExperiment:
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         with pytest.raises(ValidationError):
             run_experiment(config, trials=2, parallelism=-1)
+
+
+def assert_same_reports(shared, alone):
+    """Equal reports: records field by field (nan-equal), to_dict() and failures."""
+    assert len(shared) == len(alone)
+    for a, b in zip(shared, alone):
+        assert a.failures == b.failures
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        assert len(a.records) == len(b.records)
+        for rec, ref in zip(a.records, b.records):
+            for f in dataclasses.fields(rec):
+                x, y = getattr(rec, f.name), getattr(ref, f.name)
+                if isinstance(x, np.ndarray):
+                    assert np.array_equal(x, y, equal_nan=True), f.name
+                else:
+                    assert x == y or (x != x and y != y), f.name
+
+
+class TestRunExperiments:
+    """One draw per trial for every strength; each report is the config's own."""
+
+    STRENGTHS = [((0.6,), (0.0,)), ((1.0,), (0.0,)), ((1.6,), (0.15,)), ((2.5,), (-0.1,))]
+
+    def configs(self, **kw):
+        base = dict(n=40, m=8000, r=1, seed=SUITE_SEED)
+        base.update(kw)
+        return [ModelConfig(taus=taus, eps=eps, **base) for taus, eps in self.STRENGTHS]
+
+    @pytest.mark.parametrize("trial_kwargs", [
+        {"measure_stieltjes": True, "measure_projection": True},
+        {"truncate_noise": True},
+    ])
+    def test_equals_one_experiment_per_config(self, trial_kwargs):
+        configs = self.configs()
+        assert np.isnan(run_trial(configs[0], 0).lambda_bar[0])  # a subcritical tau
+        shared = run_experiments(configs, trials=20, parallelism=2, **trial_kwargs)
+        assert_same_reports(shared, [run_experiment(c, trials=20, parallelism=2,
+                                                    **trial_kwargs) for c in configs])
+
+    def test_two_spikes_and_rank_zero(self):
+        twin = [ModelConfig(n=40, m=8000, r=2, taus=taus, eps=eps, seed=3)
+                for taus, eps in (((2.0, 0.8), (0.0, 0.0)), ((1.5, 1.2), (0.1, -0.05)))]
+        noise = [ModelConfig(n=40, m=8000, r=0, seed=3)] * 2
+        for configs in (twin, noise):
+            shared = run_experiments(configs, trials=6, measure_stieltjes=True)
+            assert_same_reports(shared, [run_experiment(c, trials=6, measure_stieltjes=True)
+                                         for c in configs])
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("r, trial_kwargs, noise_eighs", [
+        (1, {}, 0), (1, {"measure_stieltjes": True}, 1),
+        (1, {"measure_projection": True}, 1), (0, {}, 1),
+    ])
+    def test_one_eigh_per_strength_and_the_noise_eigh_once(self, monkeypatch, count, r,
+                                                           trial_kwargs, noise_eighs):
+        # The noise eigh is computed only when a measurement or a rank-0
+        # spectrum reads it, and once per trial for all strengths.
+        configs = (self.configs()[:count] if r
+                   else [ModelConfig(n=40, m=8000, r=0, seed=SUITE_SEED)] * count)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        run_experiments(configs, trials=3, **trial_kwargs)
+        assert len(calls) == 3 * (count * r + noise_eighs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 41), ("m", 8001), ("seed", 1), ("noise_family", "rademacher"),
+        ("signal_family", "orthonormal"),
+    ])
+    def test_configs_must_share_the_draw(self, field, value):
+        configs = self.configs()
+        configs[2] = configs[2].replace(**{field: value})
+        with pytest.raises(ValidationError, match=field):
+            run_experiments(configs, trials=2)
+
+    def test_rank_must_match_and_the_list_be_nonempty(self):
+        configs = self.configs()[:1] + [ModelConfig(n=40, m=8000, r=2, taus=(2.0, 1.0))]
+        with pytest.raises(ValidationError, match="'r'"):
+            run_experiments(configs, trials=2)
+        with pytest.raises(ValidationError):
+            run_experiments([], trials=2)
+
+    @staticmethod
+    def fail_at(monkeypatch, method, pairs, configs):
+        """Make _GramKernel.method raise NumericalError at each (config, trial) pair.
+
+        A kernel's trial is told by its G, and its strength by its theta;
+        config None stands for every strength.
+        """
+        keys = {(float(_GramKernel.of(sample_model(configs[0], i)).G[0, 0]),
+                 None if k is None else float(calibrate_signal_strengths(
+                     configs[k].taus, configs[k].eps, configs[k].beta)[0]))
+                for k, i in pairs}
+        real = getattr(_GramKernel, method)
+
+        def failing(self, *args):
+            g = float(self.G[0, 0])
+            if {(g, None), (g, float(self.theta[0]))} & keys:
+                raise NumericalError(f"synthetic {method}")
+            return real(self, *args)
+
+        monkeypatch.setattr(_GramKernel, method, failing)
+
+    def test_a_failure_at_one_strength_fails_only_its_trial(self, monkeypatch):
+        configs = self.configs()
+        self.fail_at(monkeypatch, "signal_cosines", [(2, 3)], configs)
+        shared = run_experiments(configs, trials=20, measure_projection=True)
+        assert [r.failures for r in shared] == [
+            [], [], [(3, "NumericalError('synthetic signal_cosines')")], []]
+        assert_same_reports(shared, [run_experiment(c, trials=20, measure_projection=True)
+                                     for c in configs])
+
+    def test_a_noise_failure_fails_every_strength(self, monkeypatch):
+        configs = self.configs()
+        self.fail_at(monkeypatch, "projection_energy", [(None, 5)], configs)
+        shared = run_experiments(configs, trials=20, measure_projection=True)
+        assert [r.failures for r in shared] == [
+            [(5, "NumericalError('synthetic projection_energy')")]] * len(configs)
+        assert_same_reports(shared, [run_experiment(c, trials=20, measure_projection=True)
+                                     for c in configs])
+
+    def test_a_noise_failure_holds_no_kernel_per_strength(self, monkeypatch):
+        # The noise error is raised once per strength; the frames it gathers
+        # must not keep every strength's observed eigh alive.
+        n = 200
+        configs = [ModelConfig(n=n, m=2000, r=1, taus=(0.5 + 0.1 * k,), seed=1)
+                   for k in range(16)]
+        self.fail_at(monkeypatch, "projection_energy", [(None, 0)], configs)
+        monkeypatch.setattr(montecarlo, "_report", lambda *args: None)
+        peaks = []
+        for count in (1, 16):
+            tracemalloc.start()
+            try:
+                run_experiments(configs[:count], trials=1, measure_projection=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * 8 * n * n
+
+    def test_abort_rule_per_config(self, monkeypatch):
+        # Configs 3 and 1 each fail 3 of 20 trials, past the 10% budget; the
+        # error is config 1's, as a loop of run_experiment calls raises it.
+        configs = self.configs()
+        pairs = [(1, 2), (1, 7), (1, 11), (3, 1), (3, 5), (3, 6), (0, 4), (2, 9)]
+        self.fail_at(monkeypatch, "signal_cosines", pairs, configs)
+        with pytest.raises(ExperimentError) as alone:
+            for config in configs:
+                run_experiment(config, trials=20)
+        with pytest.raises(ExperimentError) as shared:
+            run_experiments(configs, trials=20)
+        assert str(shared.value) == str(alone.value)
+        assert "3/20 trials failed: [(2," in str(shared.value)
+        reports = run_experiments(configs[::2], trials=20)
+        assert [r.failed_count for r in reports] == [1, 1]
 
 
 class TestWorkerBudget:
@@ -373,13 +536,15 @@ class TestPoolFailure:
         started = []
         error = KeyError("not a trial error")
 
-        def trial(config, i, **kwargs):
+        real = montecarlo._record
+
+        def trial(config, i, *args):
             started.append(i)
             if i == 1:
                 raise error
-            return run_trial(config, i, **kwargs)
+            return real(config, i, *args)
 
-        monkeypatch.setattr(montecarlo, "run_trial", trial)
+        monkeypatch.setattr(montecarlo, "_record", trial)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         with pytest.raises(KeyError) as info:
             run_experiment(config, trials=5, parallelism=1)
@@ -429,6 +594,60 @@ class TestCoreBudget:
         assert report.trial_count == 3
         assert draws["pieces"] == [pieces] * 3
         assert 1 <= draws["most"] <= 2
+        assert ensemble._cores_held == 0
+
+    def test_a_draw_outside_any_pool_holds_its_own_core(self, draws, monkeypatch):
+        # A lone draw takes the one idle core; a second draw beside it, from
+        # another thread outside any pool, takes none.
+        shape = (self.CONFIG.n, self.CONFIG.m)
+        ensemble.sample_noise(*shape, "gaussian", stream(9, "noise"))
+        assert draws["pieces"] == [2]
+        recording = ensemble._draw_pieces
+        inside, release = threading.Event(), threading.Event()
+
+        def held(*args):
+            inside.set()
+            assert release.wait(30)
+            return recording(*args)
+
+        monkeypatch.setattr(ensemble, "_draw_pieces", held)
+        first = threading.Thread(target=ensemble.sample_noise,
+                                 args=(*shape, "gaussian", stream(9, "noise", 1)))
+        first.start()
+        try:
+            assert inside.wait(30)
+            monkeypatch.setattr(ensemble, "_draw_pieces", recording)
+            ensemble.sample_noise(*shape, "gaussian", stream(9, "noise", 2))
+        finally:
+            release.set()
+            first.join(30)
+        assert not first.is_alive()
+        assert draws["pieces"] == [2, 1, 2]
+        assert draws["most"] <= 2
+        assert ensemble._cores_held == 0
+
+    def test_concurrent_outside_draws_never_oversubscribe(self, draws):
+        # Two threads drawing in a loop on 2 cores, switching often: a draw
+        # splits only while the other thread draws nothing, so at most 3
+        # fills run at once (2 pieces and 1), and the budget ends empty.
+        shape = (self.CONFIG.n, self.CONFIG.m)
+
+        def loop(k):
+            for i in range(8):
+                ensemble.sample_noise(*shape, "gaussian", stream(9, "noise", 10 * k + i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=loop, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(draws["pieces"]) == 16 and draws["most"] <= 3
         assert ensemble._cores_held == 0
 
     def test_the_budget_is_released_after_a_task_raises(self, draws):
@@ -488,13 +707,13 @@ class TestBlasPin:
         get, _ = montecarlo._OPENBLAS
         before = get()
         seen = []
-        real = montecarlo.run_trial
+        real = montecarlo._record
 
-        def recording(config, trial_index, **kw):
+        def recording(config, trial_index, *args):
             seen.append(get())
-            return real(config, trial_index, **kw)
+            return real(config, trial_index, *args)
 
-        monkeypatch.setattr(montecarlo, "run_trial", recording)
+        monkeypatch.setattr(montecarlo, "_record", recording)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         run_experiment(config, trials=4, parallelism=2)
         assert seen == [1] * 4
@@ -522,10 +741,10 @@ class TestBlasPin:
         get, _ = montecarlo._OPENBLAS
         before = get()
 
-        def broken(config, trial_index, **kw):
+        def broken(config, trial_index, *args):
             raise RuntimeError("not a trial error")
 
-        monkeypatch.setattr(montecarlo, "run_trial", broken)
+        monkeypatch.setattr(montecarlo, "_record", broken)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         with pytest.raises(RuntimeError, match="not a trial error"):
             run_experiment(config, trials=4, parallelism=2)

@@ -291,3 +291,19 @@ class TestGramKernel:
         x = stream(SEED, "noise").standard_normal((20, 400))
         kernel = _GramKernel(x)
         assert kernel.eigenvalues is kernel.noise_eigenvalues
+
+    def test_strength_copy_shares_the_statistics_not_the_spectrum(self):
+        # Its own observed spectrum, bit for bit that of a kernel drawn at
+        # the new strengths; G, X V, V'V, U and the noise eigh are shared.
+        weak = ModelConfig(n=30, m=900, r=2, taus=(1.5, 0.7), seed=SEED)
+        strong = weak.replace(taus=(3.0, 2.0), eps=(0.1, 0.0))
+        kernel = _GramKernel.of(sample_model(weak))
+        kernel.signal_cosines(2)
+        kernel.noise_eigh
+        copy = kernel.with_strengths(sample_model(strong).theta)
+        fresh = _GramKernel.of(sample_model(strong))
+        assert np.array_equal(copy.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(copy.signal_cosines(2)[0], fresh.signal_cosines(2)[0])
+        assert not np.array_equal(copy.eigenvalues, kernel.eigenvalues)
+        for name in ("G", "XV", "VV", "U", "noise_eigh"):
+            assert getattr(copy, name) is getattr(kernel, name)
