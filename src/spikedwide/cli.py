@@ -16,15 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimator, io, master, mp
+from . import __version__, _runtime, estimator, io, master, mp
 from .ensemble import ModelConfig, sample_model
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS, CertificationError, ValidationError
 from .estimator import analyze, estimate_tau
 from .master import certify_outliers, contour_bytes, deterministic_master, rescale_blocks
 from .montecarlo import (
     BetaSchedule,
-    _pinned_map,
-    _trial_blas_threads,
     run_experiment,
     sweep,
     trial_bytes,
@@ -122,7 +120,7 @@ def build_parser():
     return parser
 
 
-#: Verbs whose draws run on the pinned-BLAS pool of montecarlo._pinned_map.
+#: Verbs whose draws run on the pinned-BLAS pool of _runtime.pinned_map.
 _PINNED_VERBS = {"simulate", "sweep", "verify"}
 
 _META_ONLY = {"verb", "version", "git_describe", "tolerance_provenance",
@@ -176,7 +174,7 @@ def _write_metadata(out_dir, verb, config):
     payload["blas_name"] = blas.get("name")
     payload["blas_version"] = blas.get("version")
     if verb in _PINNED_VERBS:
-        payload["blas_threads_per_worker"] = _trial_blas_threads()
+        payload["blas_threads_per_worker"] = _runtime.trial_blas_threads()
     # Statistical thresholds (eta, ell, ...) carry no universal constants in
     # the underlying theory; the shipped defaults are pilot-calibrated.
     payload["tolerance_provenance"] = "pilot-derived"
@@ -311,7 +309,7 @@ def _cmd_verify(cfg, out_dir):
                   + contour_bytes(config.n, config.r, cfg["nodes"]))
     rows = []
     all_certified = True
-    for draw, certs in enumerate(_pinned_map(certify, cfg["draws"], 0, draw_bytes)):
+    for draw, certs in enumerate(_runtime.pinned_map(certify, cfg["draws"], 0, draw_bytes)):
         for cert in certs:
             rows.append({"draw": draw, **cert.to_dict()})
             all_certified = all_certified and cert.certified

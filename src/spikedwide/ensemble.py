@@ -19,9 +19,7 @@ repeats the previous piece's last 8 values. Seam by seam, in order, the
 index after their first copy is the overlap s: the piece moves left by s
 and draws s more values at its end. A piece with no copy is drawn again
 from the previous piece's generator, as the serial draw does. Idle cores
-come from one process-wide budget: montecarlo._pinned_map holds its worker
-count while it runs, and a draw takes what is left without waiting and
-gives it back when it ends.
+are those the core budget of _runtime leaves.
 """
 
 import contextlib
@@ -31,12 +29,12 @@ import math
 import mmap
 import os
 import sys
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from . import _runtime
 from .errors import ValidationError
 
 __all__ = [
@@ -84,49 +82,13 @@ _SEAM = 8
 _SCAN = 1 << 12
 
 
-def _available_cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_budget_lock = threading.Lock()
-#: Cores held by running pools, by the threads of draws outside any pool and
-#: by the helper threads of split draws.
-_cores_held = 0
-#: pool_worker is set on the threads of a running pool, whose cores the pool holds.
-_thread_role = threading.local()
-
-
-@contextlib.contextmanager
-def _hold_cores(count, idle_only=False):
-    """Hold count cores of the process-wide budget while the body runs;
-    yields the number held.
-
-    With idle_only it never waits: it holds only as many as the budget
-    leaves idle, after the calling thread's own core, which it holds as
-    well unless the thread is a pool's worker (counted by its pool).
-    """
-    global _cores_held
-    own = int(idle_only and not getattr(_thread_role, "pool_worker", False))
-    with _budget_lock:
-        if idle_only:
-            count = max(0, min(count, _available_cores() - _cores_held - own))
-        _cores_held += own + count
-    try:
-        yield count
-    finally:
-        with _budget_lock:
-            _cores_held -= own + count
-
-
 def _pieces_max(size, words):
     """Most pieces a draw of size values splits into: one per core, each of
     at least SPLIT_MIN values; one where a value takes no known least word
     count (words = 0)."""
     if not words:
         return 1
-    return max(1, min(_available_cores(), size // SPLIT_MIN))
+    return max(1, min(_runtime.available_cores(), size // SPLIT_MIN))
 
 
 _TRACK = ctypes.pythonapi.PyTraceMalloc_Track
@@ -135,9 +97,10 @@ _UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
 _UNTRACK.argtypes = (ctypes.c_uint, ctypes.c_size_t)
 
 #: Mappings of noise draws that died, newest last, kept for the next draws;
-#: at most one per core, as many as a pool of draws holds at once.
+#: at most one per core, as many as a pool of draws holds at once. The count
+#: is read at import: a lease that dies at exit cannot call into a cleared module.
 _idle_maps = []
-_IDLE_MAX = _available_cores()
+_IDLE_MAX = _runtime.available_cores()
 #: Mapping sizes that have died before: only a repeated size is kept idle.
 _dead_sizes = set()
 #: numpy advises huge pages for its own buffers of 4 MiB or more; so do we.
@@ -264,6 +227,13 @@ def _noise_filler(family):
         return (lambda rng, chunk: np.multiply(rng.standard_t(df, size=chunk.size),
                                                scale, out=chunk)), 8, WORDS_MIN["student_t"]
     raise ValidationError(f"unknown noise family {family!r}")
+
+
+def _draw_bytes(n, m, noise_family):
+    """Peak bytes of one n x m noise draw: X, plus its filler's chunk
+    transient once per piece the draw may split into."""
+    _, itemsize, words = _noise_filler(noise_family)
+    return 8 * n * m + itemsize * min(n * m, NOISE_CHUNK) * _pieces_max(n * m, words)
 
 
 @dataclass(frozen=True)
@@ -453,7 +423,7 @@ def sample_noise(n, m, noise_family, rng):
         words = 0
     x = _mapped_empty((n, m))
     flat = x.reshape(-1)
-    with _hold_cores(_pieces_max(flat.size, words) - 1, idle_only=True) as helpers:
+    with _runtime.hold_cores(_pieces_max(flat.size, words) - 1, idle_only=True) as helpers:
         _draw_pieces(fill, flat, rng, 1 + helpers, words)
     return x
 
@@ -479,7 +449,7 @@ def _draw_pieces(fill, flat, rng, pieces, words):
         except BaseException as exc:
             errors[i] = exc
 
-    _on_threads(draw, pieces)
+    _runtime.on_threads(draw, pieces)
     error = next((exc for exc in errors if exc is not None), None)
     if error is not None:
         # Keep no cycle from the error through these frames to X.
@@ -497,21 +467,6 @@ def _draw_pieces(fill, flat, rng, pieces, words):
         kept = rng.bit_generator.state
         state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
         rng.bit_generator.state = state
-
-
-def _on_threads(task, count):
-    """Run task(0) on this thread and task(1), ..., task(count - 1) on
-    threads of their own; return once every one has ended."""
-    helpers = []
-    try:
-        for i in range(1, count):
-            helper = threading.Thread(target=task, args=(i,), name="spikedwide-draw")
-            helper.start()
-            helpers.append(helper)
-        task(0)
-    finally:
-        for helper in helpers:
-            helper.join()
 
 
 def _fill_span(fill, rng, span):

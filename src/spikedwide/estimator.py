@@ -10,9 +10,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import mp
+from . import _runtime, mp
 from .errors import DomainError, ValidationError
-from .montecarlo import _one_blas_thread
 from .predictions import left_cosine_limit
 from .spectra import covariance_eigenvalues
 
@@ -85,7 +84,7 @@ def estimate_tau(lambda_hat, beta):
     return tau_hat, theta_hat
 
 
-@_one_blas_thread()
+@_runtime.one_blas_thread()
 def analyze(X, eta=DEFAULT_ETA):
     """Full estimation report for an observed (unscaled) matrix.
 

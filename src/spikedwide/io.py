@@ -1,11 +1,11 @@
 """File exchange: headerless row-major CSV matrices and deterministic JSON.
 
-A large matrix crosses the CSV boundary on every core, both ways:
-read_matrix parses one newline-aligned byte range per core and write_matrix
-formats one contiguous row range per core, each range in a forked worker
-(_fork_workers). Whenever that path cannot vouch for its result, one serial
-call does the whole job again, so the array, the bytes and every error are
-the serial call's.
+A large matrix crosses the CSV boundary on every core, both ways, as
+_runtime.available_cores() counts them: read_matrix parses one
+newline-aligned byte range per core and write_matrix formats one contiguous
+row range per core, each range in a forked worker (_fork_workers). Whenever
+that path cannot vouch for its result, one serial call does the whole job
+again, so the array, the bytes and every error are the serial call's.
 """
 
 import functools
@@ -19,6 +19,7 @@ import threading
 
 import numpy as np
 
+from . import _runtime
 from .errors import ValidationError
 
 __all__ = ["read_matrix", "write_matrix", "write_json", "read_json"]
@@ -37,13 +38,8 @@ _BLOCK = 1 << 20
 _PIPE_BLOCK = 1 << 16
 #: Suffixes np.loadtxt decompresses on the fly; such files are parsed whole.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _worker_count():
-    """Cores this process may run on; 1 where workers cannot be forked."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+#: Workers are forked only where os has fork and sched_getaffinity.
+_FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 
 
 def _worker_body(fn):
@@ -128,8 +124,8 @@ def _read_split(path):
         compressed = os.fspath(path).lower().endswith(_COMPRESSED)
     except (OSError, TypeError, ValueError):
         return None
-    workers = min(_worker_count(), size // SPLIT_BYTES)
-    if workers < 2 or compressed:
+    workers = min(_runtime.available_cores(), size // SPLIT_BYTES)
+    if workers < 2 or compressed or not _FORKS:
         return None
     with open(path, "rb") as fh:
         cols = fh.readline().count(b",") + 1
@@ -217,8 +213,8 @@ def _csv_line(row):
 
 def _write_split(path, matrix):
     """Write matrix through one forked format worker per row range; whether it did."""
-    workers = min(_worker_count(), matrix.size // WRITE_SPLIT_ELEMENTS)
-    if workers < 2 or len(matrix) < workers:
+    workers = min(_runtime.available_cores(), matrix.size // WRITE_SPLIT_ELEMENTS)
+    if workers < 2 or len(matrix) < workers or not _FORKS:
         return False
     ranges = np.array_split(matrix, workers)
     reads, writes = [], []

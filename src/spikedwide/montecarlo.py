@@ -1,17 +1,11 @@
 """Monte Carlo harness: trials, aggregation, schedules, and rate fits.
 
-Trials are independent tasks keyed by (experiment seed, trial index); records
-are aggregated in trial order, and every trial's BLAS/LAPACK work runs on one
-OpenBLAS thread, so reports are bitwise identical for any parallelism and any
-core count. One private helper, _pinned_map, runs every such pool: the trials
-of run_experiment and the certificate draws of the CLI's `verify`. It sizes
-the pool by the cores and by MemAvailable over trial_bytes, the one forecast
-of a trial's peak memory, so the machine chooses how many tasks run at once
-and never what they compute. It also decides what a failing task does: no
-task above it starts, and its error is raised after every lower task's
-result, as a serial loop would. The noise-only rate measurements (Stieltjes
-deviation, projection energy) are optional fields of the same trial. CSV
-output is tidy: one row per (trial, spike).
+Trials are independent tasks keyed by (experiment seed, trial index). They
+run on _runtime's pinned-BLAS pool, sized by trial_bytes, the one forecast of
+a trial's peak memory, and records are aggregated in trial order, so reports
+are bitwise identical for any parallelism and any core count. The noise-only
+rate measurements (Stieltjes deviation, projection energy) are optional
+fields of the same trial. CSV output is tidy: one row per (trial, spike).
 
 The streams are keyed by (seed, purpose, trial), never by the strengths, so
 configs that differ only in taus and eps draw the same matrices.
@@ -22,26 +16,17 @@ update, the observed eigh and every other field of the record are computed
 per strength. run_experiment and run_trial are its one-config case.
 """
 
-import contextlib
 import csv
-import ctypes
 import math
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import mp
+from . import _runtime, mp
 from .ensemble import (
-    NOISE_CHUNK,
-    _available_cores,
-    _hold_cores,
-    _noise_filler,
-    _pieces_max,
-    _thread_role,
+    _draw_bytes,
     assemble_spiked,
     calibrate_signal_strengths,
     sample_model,
@@ -82,126 +67,6 @@ _SCALAR_FIELDS = ("bulk_top", "stieltjes_dev", "stieltjes_ddev", "proj_energy")
 
 CSV_COLUMNS = ("n", "m", "beta", "tau", "trial") + _PER_SPIKE_FIELDS + ("bulk_top",)
 
-#: OpenBLAS threads per trial. The Gram and eigh round differently under one
-#: and two BLAS threads, so the count is a constant, not the machine default.
-TRIAL_BLAS_THREADS = 1
-
-
-def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS numpy links, or None.
-
-    They are looked up through a handle on numpy's own linalg extension,
-    whose symbol scope includes the BLAS it was linked against.
-    """
-    try:
-        handle = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                           ("openblas_", "")):
-        get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
-        set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
-        if get is not None and set_ is not None:
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
-    return None
-
-
-#: None where no OpenBLAS is loaded; trials then run on the BLAS default.
-_OPENBLAS = _find_openblas()
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_saved = None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on TRIAL_BLAS_THREADS OpenBLAS threads.
-
-    The OpenBLAS count is process-wide, so entries nest across threads: the
-    first to enter saves the count and sets the pin, the last to leave
-    restores it.
-    """
-    global _pin_depth, _pin_saved
-    api = _OPENBLAS
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get()
-            set_(TRIAL_BLAS_THREADS)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                set_(_pin_saved)
-
-
-def _pinned_map(task, count, cap, task_bytes):
-    """Yield task(0), ..., task(count - 1) in index order from a pinned-BLAS pool.
-
-    The pool has max(1, min(cap, count, available cores, MemAvailable //
-    task_bytes)) threads; cap = 0 sets no cap, and an unreadable MemAvailable
-    sets no memory limit. The generator holds _one_blas_thread() while it
-    runs, so every task, and the consumer's own BLAS calls between results,
-    run on one OpenBLAS thread. It holds its thread count of the core budget
-    as long, so a task's noise draw splits only over the cores left idle.
-
-    A task that raises fails the map: no task above it starts, the results
-    of every lower index are yielded whatever the completion order, and then
-    the lowest failing task's own exception is raised. Tasks still queued
-    are cancelled when the generator ends.
-    """
-    # One BLAS thread per task, so more workers than cores only adds switching.
-    workers = min(cap or count, count, _available_cores())
-    available = _mem_available()
-    if available is not None:
-        workers = min(workers, available // max(1, task_bytes))
-    failed = []
-
-    def run(i):
-        # A skipped task lies above a failure, which is raised before it.
-        if failed and min(failed) < i:
-            return None
-        _thread_role.pool_worker = True
-        try:
-            return task(i)
-        except BaseException:
-            failed.append(i)
-            raise
-
-    workers = max(1, workers)
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        with _one_blas_thread(), _hold_cores(workers):
-            yield from pool.map(run, range(count))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _trial_blas_threads():
-    """OpenBLAS threads each trial runs on, or None when no handle was found."""
-    return None if _OPENBLAS is None else TRIAL_BLAS_THREADS
-
-
-def _mem_available(meminfo="/proc/meminfo"):
-    """MemAvailable in bytes, or None where the kernel does not report it."""
-    try:
-        with open(meminfo) as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
-
-
 #: Python objects and small arrays of one trial (about 3 KB under
 #: tracemalloc), rounded up.
 _TRIAL_OVERHEAD = 16 * 1024
@@ -212,19 +77,15 @@ def trial_bytes(n, m, r, noise_family, truncate_noise):
 
     The terms follow tracemalloc on small shapes: the signal vectors U and V;
     then the largest of three phases, each holding the n x m noise X once:
-    the draw (plus its filler's chunk transient, once per piece the draw
-    may split into: one per core for a large Gaussian or Student-t draw, of
-    which a Gaussian chunk costs nothing), truncate_noise
-    (truncate_normalize holds two more n x m arrays beside X), and the
-    Gram-once kernel (four n x n arrays at the observed eigh, and the m-vector
+    the draw (ensemble._draw_bytes), truncate_noise (truncate_normalize
+    holds two more n x m arrays beside X), and the Gram-once kernel (four n x n arrays at the observed eigh, and the m-vector
     probe of the projection measurement with its scaled copy).
     """
     x = 8 * n * m
-    _, itemsize, words = _noise_filler(noise_family)
-    draw = x + itemsize * min(n * m, NOISE_CHUNK) * _pieces_max(n * m, words)
     clip = 3 * x if truncate_noise else 0
     kernel = x + 8 * ((4 if r else 3) * n * n + 2 * m)
-    return 8 * (n + m) * r + max(draw, clip, kernel) + _TRIAL_OVERHEAD
+    return (8 * (n + m) * r + max(_draw_bytes(n, m, noise_family), clip, kernel)
+            + _TRIAL_OVERHEAD)
 
 
 @dataclass(frozen=True)
@@ -297,7 +158,7 @@ class ExperimentReport:
         }
 
 
-@_one_blas_thread()
+@_runtime.one_blas_thread()
 def run_trial(config, trial_index, measure_stieltjes=False,
               measure_projection=False, truncate_noise=False, u_offset=0.0):
     """One full measurement pass; deterministic in (config.seed, trial_index).
@@ -411,12 +272,10 @@ def run_experiments(configs, trials, parallelism=0, schedule="fixed",
     X, U and V for all of them: each trial is drawn once and builds one
     record per config. Each report equals the config's own run_experiment.
 
-    Trials run through _pinned_map, the pool `verify` draws share: on
-    max(1, min(parallelism, trials, available cores, MemAvailable //
-    trial_bytes)) threads, where parallelism = 0 (the default) sets no cap.
-    Each trial runs on one OpenBLAS thread, and aggregation consumes records
-    in trial order whatever the completion order, so reports are identical
-    for any parallelism. Individual trials may fail with one of TRIAL_ERRORS,
+    Trials run on _runtime.pinned_map, the pool `verify` draws share, with
+    at most `parallelism` threads (0, the default, sets no cap); records are
+    consumed in trial order, so reports are identical for any parallelism.
+    Individual trials may fail with one of TRIAL_ERRORS,
     at one strength or, in the draw and the noise-only fields, at all of
     them; more than 10% failures of one config aborts with the error of the
     first such config. Any other error is raised, and no trial above it
@@ -452,7 +311,7 @@ def run_experiments(configs, trials, parallelism=0, schedule="fixed",
             return [(None, failure)] * len(configs)
         return [attempt(_record, config, i, *shared) for config in configs]
 
-    per_trial = list(_pinned_map(work, trials, parallelism, trial_bytes(
+    per_trial = list(_runtime.pinned_map(work, trials, parallelism, trial_bytes(
         base.n, base.m, base.r, base.noise_family,
         trial_kwargs.get("truncate_noise", False))))
     return [_report(config, schedule, trials, outcomes)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spikedwide
-from spikedwide import cli, ensemble, io, montecarlo
+from spikedwide import _runtime, cli, io
 from spikedwide.cli import main
 from spikedwide.ensemble import ModelConfig, sample_model, sample_noise, stream
 from spikedwide.errors import CertificationError
@@ -133,8 +133,7 @@ class TestSimulate:
             out = tmp_path / f"p{p}"
             assert run_cli(capsys, *args, "--parallelism", str(p), "--out-dir", str(out))[0] == 0
             outputs[p] = (out / "trials.csv").read_bytes()
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: 1)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 1)
         out = tmp_path / "one_core"
         assert run_cli(capsys, *args, "--out-dir", str(out))[0] == 0
         assert outputs[1] == outputs[2] == (out / "trials.csv").read_bytes()
@@ -283,7 +282,7 @@ class TestVerify:
     def test_worker_count_changes_no_byte(self, capsys, tmp_path, monkeypatch):
         outputs = set()
         for cores in (1, 4):
-            monkeypatch.setattr(montecarlo, "_available_cores", lambda: cores)
+            monkeypatch.setattr(_runtime, "available_cores", lambda: cores)
             code, out, _ = run_cli(capsys, "verify", *self.SMALL, "--draws", "3",
                                    "--out-dir", str(tmp_path))
             assert code == 0
@@ -325,7 +324,7 @@ class TestVerify:
             raise CertificationError("synthetic failure")
 
         monkeypatch.setattr(cli, "certify_outliers", certify)
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 1)
         code, _, err = run_cli(capsys, "verify", *self.SMALL, "--draws", "3",
                                "--out-dir", str(tmp_path))
         assert code == 2

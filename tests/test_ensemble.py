@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikedwide import ensemble
+from spikedwide import _runtime, ensemble
 from spikedwide.ensemble import (
     ModelConfig,
     assemble_spiked,
@@ -153,8 +153,8 @@ class TestNoise:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        chunk = ensemble._noise_filler(family)[1] * ensemble.NOISE_CHUNK
-        assert peak <= x.nbytes + chunk + 4096, f"peak {peak - x.nbytes} B over X.nbytes"
+        draw = ensemble._draw_bytes(300, 1000, family)
+        assert peak <= draw + 4096, f"peak {peak - x.nbytes} B over X.nbytes"
 
     @pytest.mark.parametrize("shape", [(333, 1001), (3, 7), (1, ensemble.NOISE_CHUNK + 1)])
     def test_gaussian_draw_is_the_one_shot_draw(self, shape):
@@ -315,18 +315,18 @@ class TestSplitDraw:
     def test_split_draw_is_the_one_shot_draw(self, monkeypatch, pieces, family, cores):
         assert math.prod(self.SHAPE) >= 3 * ensemble.SPLIT_MIN
         assert math.prod(self.SHAPE) % ensemble.NOISE_CHUNK
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: cores)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: cores)
         rng, ref = self.generators()
         x = sample_noise(*self.SHAPE, family, rng)
         assert pieces == [cores]
         assert x.tobytes() == _one_shot(family, ref, self.SHAPE).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert ensemble._cores_held == 0
+        assert _runtime._cores_held == 0
 
     def test_a_missed_seam_draws_the_piece_again(self, monkeypatch, pieces):
         # Two words per Gaussian value start every helper piece past its true
         # start, so no seam is found and every piece is drawn again.
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         monkeypatch.setitem(ensemble.WORDS_MIN, "gaussian", 2)
         overlaps = []
         real = ensemble._overlap
@@ -348,7 +348,7 @@ class TestSplitDraw:
     def test_unsplittable_draws_stay_one_piece(self, monkeypatch, pieces, family,
                                                bit_generator):
         # Rademacher values cannot mark a seam; SFC64 and MT19937 cannot advance.
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         rng, ref = (np.random.Generator(bit_generator(SEED)) for _ in range(2))
         x = sample_noise(*self.SHAPE, family, rng)
         if family == "rademacher":
@@ -360,7 +360,7 @@ class TestSplitDraw:
         assert rng.random(3).tobytes() == ref.random(3).tobytes()
 
     def test_a_failed_piece_is_raised_after_every_piece_ends(self, monkeypatch):
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         ended = []
         real = ensemble._fill_span
 
@@ -383,7 +383,7 @@ class TestSplitDraw:
             tracemalloc.stop()
         assert len(ended) == 3
         assert threading.active_count() == threads
-        assert ensemble._cores_held == 0
+        assert _runtime._cores_held == 0
         assert left < 4096, f"{left} B left after the failed draw"
 
     @pytest.mark.parametrize("family", ["gaussian", "student_t8"])
@@ -392,7 +392,7 @@ class TestSplitDraw:
         # slack covers the Python objects of the draw and, per helper piece,
         # its running thread and generator copy (about 4.6 KB and 0.8 KB
         # measured), and the seam search's 4 KB mask.
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: 3)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         sample_noise(*self.SHAPE, family, stream(SEED, "noise"))
         rng = stream(SEED, "noise")
         tracemalloc.start()
@@ -402,9 +402,9 @@ class TestSplitDraw:
         finally:
             tracemalloc.stop()
         assert pieces == [3, 3]
-        chunk = ensemble._noise_filler(family)[1] * ensemble.NOISE_CHUNK
         slack = 3 * 4096 + 4096
-        assert peak <= x.nbytes + 3 * chunk + slack, f"peak {peak - x.nbytes} B over X.nbytes"
+        assert peak <= ensemble._draw_bytes(*self.SHAPE, family) + slack, \
+            f"peak {peak - x.nbytes} B over X.nbytes"
 
     def test_no_more_draw_threads_than_cores(self, monkeypatch, pieces):
         running, most = [0], [0]
@@ -424,7 +424,7 @@ class TestSplitDraw:
         monkeypatch.setattr(ensemble, "_fill_span", counting)
         for _ in range(4):
             sample_noise(*self.SHAPE, "gaussian", stream(SEED, "noise"))
-        cores = ensemble._available_cores()
+        cores = _runtime.available_cores()
         assert pieces == [min(cores, 3)] * 4
         assert 1 <= most[0] <= cores and running[0] == 0
 

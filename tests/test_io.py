@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikedwide import io
+from spikedwide import _runtime, io
 from spikedwide.errors import ValidationError
 
 SEED = 20260808
@@ -50,7 +50,7 @@ def rows_text(rows, cols=4, seed=SEED):
 def small_split(monkeypatch):
     """Split files of a few KB into three ranges, whatever the core count."""
     monkeypatch.setattr(io, "SPLIT_BYTES", 256)
-    monkeypatch.setattr(io, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
 
 
 class TestWriteMatrix:
@@ -91,7 +91,7 @@ class TestWriteMatrix:
 
 class TestSplitParse:
     def test_above_split_size_matches_loadtxt(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(io, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 2)
         path = tmp_path / "big.csv"
         x = np.random.default_rng(SEED).standard_normal((2 * io.SPLIT_BYTES // 190, 10))
         io.write_matrix(path, x)
@@ -142,8 +142,9 @@ class TestSplitParse:
         rows = rows_text(40) + ["# notes\n"] * 400
         path = tmp_path / "x.csv"
         path.write_bytes("".join(rows).encode())
-        script = ("import sys; from spikedwide import io; io.SPLIT_BYTES = 256; "
-                  "io._worker_count = lambda: 3; print(io.read_matrix(sys.argv[1]).shape)")
+        script = ("import sys; from spikedwide import _runtime, io; io.SPLIT_BYTES = 256; "
+                  "_runtime.available_cores = lambda: 3; "
+                  "print(io.read_matrix(sys.argv[1]).shape)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
@@ -236,7 +237,7 @@ def sha256(path):
 
 def serial_write(path, matrix, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(io, "_worker_count", lambda: 1)
+        m.setattr(_runtime, "available_cores", lambda: 1)
         io.write_matrix(path, matrix)
     return sha256(path)
 
@@ -254,7 +255,7 @@ def reaped():
 def small_write_split(monkeypatch):
     """Split matrices of a few hundred elements into three row ranges."""
     monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 16)
-    monkeypatch.setattr(io, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
 
 
 class TestSplitWrite:
@@ -327,7 +328,7 @@ class TestSplitWrite:
         # Each range's text overfills its pipe: a started worker waits for a
         # reader that never comes, so it must be killed to be reaped.
         monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 1000)
-        monkeypatch.setattr(io, "_worker_count", lambda: 3)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         x = np.random.default_rng(SEED).standard_normal((600, 100))
         real_fork = os.fork
         forks = []
@@ -364,7 +365,7 @@ class TestSplitWrite:
 
     def test_parent_holds_no_formatted_text(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 1000)
-        monkeypatch.setattr(io, "_worker_count", lambda: 3)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         x = np.random.default_rng(SEED).standard_normal((3000, 100))
         path = tmp_path / "x.csv"
         tracemalloc.start()

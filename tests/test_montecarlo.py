@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import CORES, SUITE_SEED, SWEEP_BETA, SWEEP_N, SWEEP_TAUS, SWEEP_TRIALS
-from spikedwide import ensemble, montecarlo
+from spikedwide import _runtime, ensemble, montecarlo
 from spikedwide.ensemble import (
     ModelConfig,
     SpikedSample,
@@ -233,12 +233,12 @@ class TestRunExperiment:
     def test_workers_capped_at_trials_and_cores(self, monkeypatch):
         sizes = []
 
-        class Recording(montecarlo.ThreadPoolExecutor):
+        class Recording(_runtime.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(_runtime, "ThreadPoolExecutor", Recording)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         serial, wide, auto = (run_experiment(config, trials=6, parallelism=p)
                               for p in (1, 64, 0))
@@ -412,13 +412,13 @@ class TestWorkerBudget:
     def pool_sizes(self, monkeypatch):
         sizes = []
 
-        class Recording(montecarlo.ThreadPoolExecutor):
+        class Recording(_runtime.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 8)
+        monkeypatch.setattr(_runtime, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 8)
         return sizes
 
     @pytest.mark.parametrize("cap, count, available, workers", [
@@ -433,8 +433,8 @@ class TestWorkerBudget:
     ])
     def test_workers_follow_cap_tasks_cores_and_memory(self, monkeypatch, pool_sizes,
                                                        cap, count, available, workers):
-        monkeypatch.setattr(montecarlo, "_mem_available", lambda: available)
-        assert list(montecarlo._pinned_map(lambda i: i, count, cap, 1000)) == list(range(count))
+        monkeypatch.setattr(_runtime, "_mem_available", lambda: available)
+        assert list(_runtime.pinned_map(lambda i: i, count, cap, 1000)) == list(range(count))
         assert pool_sizes == [workers]
 
     @pytest.mark.parametrize("truncate_noise", [False, True])
@@ -442,7 +442,7 @@ class TestWorkerBudget:
                                                    truncate_noise):
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         task = montecarlo.trial_bytes(20, 200, 1, "gaussian", truncate_noise)
-        monkeypatch.setattr(montecarlo, "_mem_available", lambda: 3 * task + task // 2)
+        monkeypatch.setattr(_runtime, "_mem_available", lambda: 3 * task + task // 2)
         report = run_experiment(config, trials=6, truncate_noise=truncate_noise)
         assert pool_sizes == [3] and report.trial_count == 6
 
@@ -450,24 +450,24 @@ class TestWorkerBudget:
         meminfo = tmp_path / "meminfo"
         meminfo.write_text("MemTotal:       16000000 kB\n"
                            "MemAvailable:    7750012 kB\n")
-        assert montecarlo._mem_available(meminfo) == 7750012 * 1024
+        assert _runtime._mem_available(meminfo) == 7750012 * 1024
         meminfo.write_text("MemTotal:       16000000 kB\n")
-        assert montecarlo._mem_available(meminfo) is None
-        assert montecarlo._mem_available(tmp_path / "absent") is None
+        assert _runtime._mem_available(meminfo) is None
+        assert _runtime._mem_available(tmp_path / "absent") is None
 
 
 class TestPoolFailure:
-    """_pinned_map's stop rule. Tasks record what ran; Events order the failures."""
+    """pinned_map's stop rule. Tasks record what ran; Events order the failures."""
 
     @pytest.fixture
     def consume(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_mem_available", lambda: None)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 2)
+        monkeypatch.setattr(_runtime, "_mem_available", lambda: None)
 
         def consume(task, count, workers):
             results = []
             with pytest.raises(Exception) as info:
-                for result in montecarlo._pinned_map(task, count, workers, 1):
+                for result in _runtime.pinned_map(task, count, workers, 1):
                     results.append(result)
             return results, info.value
 
@@ -513,7 +513,7 @@ class TestPoolFailure:
     def test_lowest_failure_decides_under_contention(self, consume, monkeypatch):
         # More workers than cores and a short switch interval: in every round
         # the lowest failing task decides, whichever failure comes first.
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 8)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 8)
         rng = np.random.default_rng(SUITE_SEED)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -562,8 +562,7 @@ class TestCoreBudget:
     @pytest.fixture
     def draws(self, monkeypatch):
         """Piece counts of every draw and the most fills that ran at once, on 2 cores."""
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: 2)
-        monkeypatch.setattr(ensemble, "_available_cores", lambda: 2)
+        monkeypatch.setattr(_runtime, "available_cores", lambda: 2)
         seen = {"pieces": [], "running": 0, "most": 0}
         lock = threading.Lock()
         draw_pieces, fill_span = ensemble._draw_pieces, ensemble._fill_span
@@ -594,7 +593,7 @@ class TestCoreBudget:
         assert report.trial_count == 3
         assert draws["pieces"] == [pieces] * 3
         assert 1 <= draws["most"] <= 2
-        assert ensemble._cores_held == 0
+        assert _runtime._cores_held == 0
 
     def test_a_draw_outside_any_pool_holds_its_own_core(self, draws, monkeypatch):
         # A lone draw takes the one idle core; a second draw beside it, from
@@ -624,7 +623,7 @@ class TestCoreBudget:
         assert not first.is_alive()
         assert draws["pieces"] == [2, 1, 2]
         assert draws["most"] <= 2
-        assert ensemble._cores_held == 0
+        assert _runtime._cores_held == 0
 
     def test_concurrent_outside_draws_never_oversubscribe(self, draws):
         # Two threads drawing in a loop on 2 cores, switching often: a draw
@@ -648,21 +647,21 @@ class TestCoreBudget:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(draws["pieces"]) == 16 and draws["most"] <= 3
-        assert ensemble._cores_held == 0
+        assert _runtime._cores_held == 0
 
     def test_the_budget_is_released_after_a_task_raises(self, draws):
         held = []
 
         def task(i):
-            held.append(ensemble._cores_held)
+            held.append(_runtime._cores_held)
             if i == 1:
                 raise KeyError(i)
             return i
 
         with pytest.raises(KeyError):
-            list(montecarlo._pinned_map(task, 4, 2, 1))
+            list(_runtime.pinned_map(task, 4, 2, 1))
         assert held and set(held) == {2}
-        assert ensemble._cores_held == 0
+        assert _runtime._cores_held == 0
 
 
 class TestTrialBytes:
@@ -697,14 +696,14 @@ class TestTrialBytes:
         assert peak <= forecast <= 1.25 * peak, f"forecast / peak = {forecast / peak:.3f}"
 
 
-needs_openblas = pytest.mark.skipif(montecarlo._OPENBLAS is None,
+needs_openblas = pytest.mark.skipif(_runtime._OPENBLAS is None,
                                     reason="no OpenBLAS handle in this process")
 
 
 class TestBlasPin:
     @needs_openblas
     def test_trials_run_on_one_thread_and_the_count_is_restored(self, monkeypatch):
-        get, _ = montecarlo._OPENBLAS
+        get, _ = _runtime._OPENBLAS
         before = get()
         seen = []
         real = montecarlo._record
@@ -722,7 +721,7 @@ class TestBlasPin:
     @needs_openblas
     def test_direct_calls_are_pinned(self, monkeypatch):
         # run_trial pins on its own, outside any pool.
-        get, _ = montecarlo._OPENBLAS
+        get, _ = _runtime._OPENBLAS
         seen = []
 
         def recording(real):
@@ -738,7 +737,7 @@ class TestBlasPin:
 
     @needs_openblas
     def test_count_restored_when_an_error_propagates(self, monkeypatch):
-        get, _ = montecarlo._OPENBLAS
+        get, _ = _runtime._OPENBLAS
         before = get()
 
         def broken(config, trial_index, *args):
@@ -760,18 +759,18 @@ class TestBlasPin:
             calls.append(k)
             state["count"] = k
 
-        monkeypatch.setattr(montecarlo, "_OPENBLAS", (lambda: state["count"], set_))
+        monkeypatch.setattr(_runtime, "_OPENBLAS", (lambda: state["count"], set_))
         outer_in, inner_out = threading.Event(), threading.Event()
 
         def inner():
             outer_in.wait(5)
-            with montecarlo._one_blas_thread():
+            with _runtime.one_blas_thread():
                 seen.append(state["count"])
             inner_out.set()
 
         worker = threading.Thread(target=inner)
         worker.start()
-        with montecarlo._one_blas_thread():
+        with _runtime.one_blas_thread():
             outer_in.set()
             inner_out.wait(5)
             seen.append(state["count"])
@@ -779,10 +778,10 @@ class TestBlasPin:
         assert seen == [1, 1] and calls == [1, 3] and state["count"] == 3
 
     def test_runs_without_a_handle(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_OPENBLAS", None)
+        monkeypatch.setattr(_runtime, "_OPENBLAS", None)
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
         assert run_experiment(config, trials=3, parallelism=2).trial_count == 3
-        assert montecarlo._trial_blas_threads() is None
+        assert _runtime.trial_blas_threads() is None
 
 
 class TestSweep:
