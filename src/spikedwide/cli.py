@@ -8,7 +8,6 @@ that file reproduces the outputs byte for byte. Exit codes: 0 success,
 
 import argparse
 import functools
-import json
 import os
 import subprocess
 import sys
@@ -201,9 +200,7 @@ def _cmd_simulate(cfg, out_dir):
 
 def _cmd_predict(cfg, out_dir):
     rows = [p.to_dict() for p in predict(cfg["taus"], cfg["beta"])]
-    text = json.dumps(rows, indent=2, sort_keys=True)
-    print(text)
-    io.write_json(out_dir / "predictions.json", rows)
+    print(io.write_json(out_dir / "predictions.json", rows), end="")
     return 0
 
 
@@ -212,9 +209,7 @@ def _cmd_estimate(cfg, out_dir):
         raise ValidationError("estimate needs --input pointing at a CSV matrix")
     matrix = io.read_matrix(cfg["input"])
     report = analyze(matrix, eta=cfg["eta"])
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(text)
-    io.write_json(out_dir / "report.json", report.to_dict())
+    print(io.write_json(out_dir / "report.json", report.to_dict()), end="")
     return 0
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import _runtime
 from .errors import ValidationError
+from .spectra import _GramKernel
 
 __all__ = [
     "ModelConfig",
@@ -310,7 +311,9 @@ class SpikedSample:
     """Realized factors of one draw; arrays are read-only after construction.
 
     The observed matrix X_tilde is formed on first access only: the trial
-    and certificate paths work from the factors and never need it.
+    and certificate paths work from the factors and never need it. They read
+    _kernel, the sample's one spectra._GramKernel, built on first access,
+    cached and freed with the sample.
     """
 
     U: np.ndarray          # n x r left signal vectors
@@ -328,6 +331,10 @@ class SpikedSample:
         if not self.r:
             return self.X
         return _freeze(math.sqrt(self.m) * ((self.U * self.theta) @ self.V.T) + self.X)
+
+    @cached_property
+    def _kernel(self):
+        return _GramKernel(self.X, self.U, self.theta, self.V)
 
     @property
     def n(self):

@@ -267,10 +267,11 @@ def _close_all(fds):
 
 
 def write_json(path, payload):
-    """Deterministic JSON (sorted keys, stable layout)."""
+    """Deterministic JSON (sorted keys, stable layout); returns the text written."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
 def read_json(path):

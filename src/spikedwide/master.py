@@ -10,8 +10,8 @@ the empirical Stieltjes transform times identities; deterministic: the
 Marchenko-Pastur transform times identities. Outliers are certified by
 counting determinant roots inside small contours with the argument principle.
 The empirical forms and the certificates read the noise eigh of (1/m) X X',
-X V and V'V, and the observed spectrum, from one spectra._GramKernel per
-sample; neither forms X_tilde.
+X V and V'V, and the observed spectrum, from the sample's one cached
+_GramKernel (SpikedSample._kernel); neither forms X_tilde.
 """
 
 import cmath
@@ -23,7 +23,7 @@ import numpy as np
 from . import mp
 from .errors import CertificationError, PoleError, ValidationError
 from .predictions import outlier_locations
-from .spectra import _GramKernel, empirical_stieltjes
+from .spectra import empirical_stieltjes
 
 __all__ = [
     "MasterMatrix",
@@ -128,8 +128,7 @@ class EmpiricalMasterEvaluator:
     """Evaluates the empirical master matrix at one z or at a whole array of z.
 
     Reads the eigh of the n x n noise Gram matrix (1/m) X X', X V and V'V
-    from the sample's _GramKernel (pass one to share it with the caller;
-    otherwise one is built here). The m x m companion resolvent is folded
+    from the sample's cached _kernel. The m x m companion resolvent is folded
     through the identity
     ((1/m) X'X - z)^{-1} = -(1/z) (I_m - (1/m) X' ((1/m) XX' - z)^{-1} X),
     so the resolvent forms are those of P = Q' [U | X V / sqrt(m)] in the
@@ -139,13 +138,12 @@ class EmpiricalMasterEvaluator:
     an index map.
     """
 
-    def __init__(self, sample, kernel=None):
+    def __init__(self, sample):
         if sample.r < 1:
             raise ValidationError("empirical master matrix needs r >= 1")
         self.theta = _check_theta(sample.theta)
         self.beta = sample.beta
-        if kernel is None:
-            kernel = _GramKernel.of(sample)
+        kernel = sample._kernel
         w, q = kernel.noise_eigh
         self.noise_eigenvalues = kernel.noise_eigenvalues
         self._w = w
@@ -274,13 +272,13 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     if sample.r == 0:
         return []
     beta = sample.beta
-    kernel = _GramKernel.of(sample)
+    kernel = sample._kernel
     centers = outlier_locations(kernel.signal_strengths(), beta)
     centers = centers[~np.isnan(centers)]
     if not centers.size:
         return []
 
-    evaluator = EmpiricalMasterEvaluator(sample, kernel)
+    evaluator = EmpiricalMasterEvaluator(sample)
     base_radius = sample.n ** (-ell) * math.sqrt(beta)
     certificates = []
     for i, center in enumerate(centers):

@@ -35,7 +35,7 @@ from .ensemble import (
 )
 from .errors import NUMERICAL_ERRORS, DomainError, ExperimentError, PoleError, ValidationError
 from .predictions import outlier_locations
-from .spectra import _GramKernel, empirical_stieltjes
+from .spectra import empirical_stieltjes
 
 __all__ = [
     "TrialRecord",
@@ -53,6 +53,9 @@ __all__ = [
 
 #: Errors a single trial may raise without failing the whole experiment.
 TRIAL_ERRORS = NUMERICAL_ERRORS + (DomainError,)
+
+#: sweep skips sizes with more than MAX_ENTRIES noise entries (n * m).
+MAX_ENTRIES = 200_000_000
 
 #: Stieltjes probe discs are centred at 1 + (2 + PROBE_ETA) sqrt(beta), past the bulk edge.
 PROBE_ETA = 0.5
@@ -187,10 +190,10 @@ def _draw_trial(config, trial_index, measure_stieltjes=False,
                 measure_projection=False, truncate_noise=False, u_offset=0.0):
     """(kernel, noise) of one trial's draw, shared by every strength.
 
-    noise maps the noise-only fields to their values (None when off), or is
-    the TRIAL_ERRORS error computing them raised. The noise eigh is computed
-    here whenever they or a rank-0 spectrum read it, so each strength's copy
-    of the kernel inherits it.
+    kernel is the sample's _kernel, and noise maps the noise-only fields to
+    their values (None when off). The noise eigh is computed here whenever
+    they or a rank-0 spectrum read it, so each strength's copy of the kernel
+    inherits it.
     """
     sample = sample_model(config, trial_index)
     if truncate_noise:
@@ -198,25 +201,21 @@ def _draw_trial(config, trial_index, measure_stieltjes=False,
                                  truncate_normalize(sample.X))
     # One set of sufficient statistics serves the spectrum, the overlaps and
     # both noise measurements.
-    kernel = _GramKernel.of(sample)
+    kernel = sample._kernel
     noise = dict.fromkeys(("stieltjes_dev", "stieltjes_ddev", "proj_energy"))
-    try:
-        if measure_stieltjes:
-            noise["stieltjes_dev"], noise["stieltjes_ddev"] = _stieltjes_deviation(
-                kernel, u_offset)
-        if measure_projection:
-            noise["proj_energy"] = _projection_energy(kernel, sample.X, config.seed,
-                                                      trial_index)
-        if not kernel.r:
-            kernel.noise_eigh  # the observed eigh of every strength
-    except TRIAL_ERRORS as exc:
-        noise = exc
+    if measure_stieltjes:
+        noise["stieltjes_dev"], noise["stieltjes_ddev"] = _stieltjes_deviation(
+            kernel, u_offset)
+    if measure_projection:
+        noise["proj_energy"] = _projection_energy(kernel, sample.X, config.seed,
+                                                  trial_index)
+    if not kernel.r:
+        kernel.noise_eigh  # the observed eigh of every strength
     return kernel, noise
 
 
 def _record(config, trial_index, kernel, noise):
-    """config's TrialRecord from _draw_trial's (kernel, noise); a noise error
-    is raised after the strength's own fields, where run_trial met it."""
+    """config's TrialRecord from _draw_trial's (kernel, noise)."""
     kernel = kernel.with_strengths(
         calibrate_signal_strengths(config.taus, config.eps, config.beta))
     n, m, r = kernel.n, kernel.m, kernel.r
@@ -238,8 +237,6 @@ def _record(config, trial_index, kernel, noise):
     else:
         u_overlap = v_overlap = u_cross = v_cross = np.zeros(0)
 
-    if isinstance(noise, Exception):
-        raise noise
     return TrialRecord(
         n=n, m=m, beta=beta, taus=config.taus,
         seed=config.seed, trial=trial_index,
@@ -301,9 +298,6 @@ def run_experiments(configs, trials, parallelism=0, schedule="fixed",
             try:
                 return build(*args, **kwargs), None
             except TRIAL_ERRORS as exc:
-                # A noise error is raised once per config; drop the frames it
-                # gathered, which hold each config's kernel.
-                exc.__traceback__ = None
                 return None, (i, repr(exc))
 
         shared, failure = attempt(_draw_trial, base, i, **trial_kwargs)
@@ -375,10 +369,10 @@ class BetaSchedule:
 
 
 def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
-          max_entries=200_000_000, **trial_kwargs):
+          **trial_kwargs):
     """One experiment per n with m_n = ceil(n / beta_n); returns (config, report) pairs.
 
-    Sizes with n * m > max_entries are skipped with a warning instead of
+    Sizes with n * m > MAX_ENTRIES are skipped with a warning instead of
     failing the sweep. The rule is fixed, so which sizes run never depends
     on the machine; the machine's cores and MemAvailable only choose how
     many trials of a size run at once (see run_experiment).
@@ -389,7 +383,7 @@ def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
         if not 0.0 < beta <= 1.0:
             raise ValidationError(f"schedule gives beta={beta} at n={n}")
         m = math.ceil(n / beta)  # never narrower than the schedule asks
-        if n * m > max_entries:
+        if n * m > MAX_ENTRIES:
             warnings.warn(f"skipping n={n}: {n}x{m} exceeds the memory budget")
             continue
         config = base_config.replace(n=int(n), m=int(m))

@@ -93,10 +93,6 @@ class _GramKernel:
         self.XV = X @ V
         self.VV = V.T @ V
 
-    @classmethod
-    def of(cls, sample):
-        return cls(sample.X, sample.U, sample.theta, sample.V)
-
     def with_strengths(self, theta):
         """The kernel of the same X, U and V under strengths theta: a shallow
         copy sharing every statistic and cache but the observed spectrum."""

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spikedwide import mp, predictions
+from spikedwide import mp, predictions, spectra
 from spikedwide.ensemble import ModelConfig, sample_model
 from spikedwide.errors import CertificationError, PoleError, ValidationError
 from spikedwide.master import (
@@ -328,3 +328,20 @@ class TestCertifyOutliers:
         for ell in (0.0, 0.25, 0.4):
             with pytest.raises(ValidationError):
                 certify_outliers(sample, ell=ell)
+
+    def test_one_gram_per_sample(self, monkeypatch):
+        # Certificates, the evaluator and empirical_master all read the
+        # sample's one kernel: one Gram and one noise eigh between them.
+        config = ModelConfig(n=60, m=3000, r=2, taus=(3.0, 2.0), seed=SEED,
+                             signal_family="orthonormal")
+        sample = sample_model(config)
+        grams, eighs = [], []
+        sample_covariance, eigh = spectra.sample_covariance, np.linalg.eigh
+        monkeypatch.setattr(spectra, "sample_covariance",
+                            lambda X: grams.append(X) or sample_covariance(X))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+        assert certify_outliers(sample) == certify_outliers(sample)
+        EmpiricalMasterEvaluator(sample).det(5.0)
+        empirical_master(sample, 5.0)
+        assert len(grams) == 1
+        assert sum(a is sample._kernel.G for a in eighs) == 1

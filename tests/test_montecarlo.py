@@ -338,7 +338,7 @@ class TestRunExperiments:
         A kernel's trial is told by its G, and its strength by its theta;
         config None stands for every strength.
         """
-        keys = {(float(_GramKernel.of(sample_model(configs[0], i)).G[0, 0]),
+        keys = {(float(sample_model(configs[0], i)._kernel.G[0, 0]),
                  None if k is None else float(calibrate_signal_strengths(
                      configs[k].taus, configs[k].eps, configs[k].beta)[0]))
                 for k, i in pairs}
@@ -800,11 +800,11 @@ class TestSweep:
         config = ModelConfig(n=100, m=1000, r=0, seed=11)
         assert sweep(config, (), BetaSchedule(c=0.1), trials=1) == []
 
-    def test_memory_budget_skips(self):
+    def test_memory_budget_skips(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_ENTRIES", 10_000_000)
         config = ModelConfig(n=100, m=1000, r=0, seed=11)
         with pytest.warns(UserWarning):
-            results = sweep(config, (50, 4000), BetaSchedule(c=0.1), trials=1,
-                            max_entries=10_000_000)
+            results = sweep(config, (50, 4000), BetaSchedule(c=0.1), trials=1)
         assert [c.n for c, _ in results] == [50]
 
     def test_schedule_validation(self):

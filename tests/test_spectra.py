@@ -245,7 +245,7 @@ class TestGramKernel:
         if truncate:
             sample = assemble_spiked(sample.U, sample.V, sample.theta,
                                      truncate_normalize(sample.X))
-        kernel = _GramKernel.of(sample)
+        kernel = sample._kernel
         k = max(sample.r, 1)
         ref = top_spectrum(sample.X_tilde, k)
 
@@ -274,11 +274,11 @@ class TestGramKernel:
         config = ModelConfig(n=40, m=800, r=1, taus=(2.0,), seed=SEED)
         sample = sample_model(config)
         want = sample.theta[0] * np.linalg.norm(sample.U) * np.linalg.norm(sample.V)
-        assert _GramKernel.of(sample).signal_strengths()[0] == pytest.approx(want, rel=1e-13)
+        assert sample._kernel.signal_strengths()[0] == pytest.approx(want, rel=1e-13)
 
     def test_kernel_holds_no_m_sized_array(self):
         config = ModelConfig(n=30, m=900, r=2, taus=(3.0, 2.0), seed=SEED)
-        kernel = _GramKernel.of(sample_model(config))
+        kernel = sample_model(config)._kernel
         kernel.signal_cosines(2)
         kernel.projection_energy(np.ones(30))
         arrays = [a for value in vars(kernel).values()
@@ -297,11 +297,11 @@ class TestGramKernel:
         # the new strengths; G, X V, V'V, U and the noise eigh are shared.
         weak = ModelConfig(n=30, m=900, r=2, taus=(1.5, 0.7), seed=SEED)
         strong = weak.replace(taus=(3.0, 2.0), eps=(0.1, 0.0))
-        kernel = _GramKernel.of(sample_model(weak))
+        kernel = sample_model(weak)._kernel
         kernel.signal_cosines(2)
         kernel.noise_eigh
         copy = kernel.with_strengths(sample_model(strong).theta)
-        fresh = _GramKernel.of(sample_model(strong))
+        fresh = sample_model(strong)._kernel
         assert np.array_equal(copy.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(copy.signal_cosines(2)[0], fresh.signal_cosines(2)[0])
         assert not np.array_equal(copy.eigenvalues, kernel.eigenvalues)
