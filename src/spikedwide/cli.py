@@ -11,6 +11,7 @@ import functools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_list(item):
-    # "" is the empty list; an empty item inside a list ("2,,1.2") is an error.
-    return lambda text: tuple(item(x) for x in text.split(",")) if text else ()
-
-
-def _parse_spikes(text):
-    taus = _parse_list(float)(text)
-    if not taus:
-        raise ValueError("need at least one spike")
-    return taus
+def _parse_list(item, noun=None):
+    # "" is the empty list, refused where the list needs a `noun`; an empty
+    # item inside a list ("2,,1.2") is an error.
+    def parse(text):
+        values = tuple(item(x) for x in text.split(",")) if text else ()
+        if noun and not values:
+            raise ValueError(f"need at least one {noun}")
+        return values
+    return parse
 
 
 @functools.cache
@@ -97,10 +97,9 @@ _VERBS = {
 
 
 def _converter(key, default):
-    if key == "taus":
-        return _parse_spikes
     if isinstance(default, tuple):
-        return _parse_list(int if key == "n_values" else float)
+        return _parse_list(int if key == "n_values" else float,
+                           {"taus": "spike", "n_values": "size"}.get(key))
     return str if default is None else type(default)
 
 
@@ -207,7 +206,11 @@ def _cmd_predict(cfg, out_dir):
 def _cmd_estimate(cfg, out_dir):
     if not cfg["input"]:
         raise ValidationError("estimate needs --input pointing at a CSV matrix")
-    matrix = io.read_matrix(cfg["input"])
+    with warnings.catch_warnings():
+        # analyze refuses an empty matrix by name; loadtxt's warning would
+        # only print ahead of that error.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        matrix = io.read_matrix(cfg["input"])
     report = analyze(matrix, eta=cfg["eta"])
     print(io.write_json(out_dir / "report.json", report.to_dict()), end="")
     return 0
@@ -285,6 +288,8 @@ def _identity_suite():
 
 
 def _cmd_verify(cfg, out_dir):
+    if cfg["draws"] < 1:
+        raise ValidationError("need at least one draw")
     ok, lines = _identity_suite()
     for line in lines:
         print(line)
@@ -300,7 +305,7 @@ def _cmd_verify(cfg, out_dir):
         except CertificationError as exc:
             raise CertificationError(f"draw {draw}: {exc}") from exc
 
-    draw_bytes = (trial_bytes(config.n, config.m, config.r, config.noise_family, False)
+    draw_bytes = (trial_bytes(config.n, config.m, config.r, config.noise_family)
                   + contour_bytes(config.n, config.r, cfg["nodes"]))
     rows = []
     all_certified = True

@@ -4,9 +4,9 @@ Model: (1/sqrt(m)) X_tilde = sum_i theta_i u_i v_i' + (1/sqrt(m)) X with an
 n x m noise matrix X of i.i.d. unit-variance entries and signal strengths
 calibrated as theta_i = tau_i * beta^(1/4) * (1 + eps_i), beta = n/m.
 
-Randomness is drawn from counter-based streams keyed by (seed, purpose, index),
-so noise, signal, and probe draws never share state and reruns are bitwise
-reproducible regardless of evaluation order.
+Randomness is drawn from PCG64 generators, one per SeedSequence(seed) spawn
+key (purpose, index), so noise, signal, and probe draws never share state
+and reruns are bitwise reproducible regardless of evaluation order.
 
 A large Gaussian or Student-t noise draw runs on the cores no pool holds,
 with the bits and the end state of the serial draw. It is cut into

@@ -97,6 +97,9 @@ def analyze(X, eta=DEFAULT_ETA):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("X must be a matrix")
+    if X.size == 0:
+        raise ValidationError(f"X must have at least one row and one column, "
+                              f"got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValidationError("X contains non-finite entries")
     transposed = X.shape[0] > X.shape[1]

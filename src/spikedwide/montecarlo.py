@@ -27,11 +27,9 @@ import numpy as np
 from . import _runtime, mp
 from .ensemble import (
     _draw_bytes,
-    assemble_spiked,
     calibrate_signal_strengths,
     sample_model,
     stream,
-    truncate_normalize,
 )
 from .errors import NUMERICAL_ERRORS, DomainError, ExperimentError, PoleError, ValidationError
 from .predictions import outlier_locations
@@ -75,19 +73,17 @@ CSV_COLUMNS = ("n", "m", "beta", "tau", "trial") + _PER_SPIKE_FIELDS + ("bulk_to
 _TRIAL_OVERHEAD = 16 * 1024
 
 
-def trial_bytes(n, m, r, noise_family, truncate_noise):
+def trial_bytes(n, m, r, noise_family):
     """Forecast of the peak bytes one run_trial holds, measurements on.
 
     The terms follow tracemalloc on small shapes: the signal vectors U and V;
-    then the largest of three phases, each holding the n x m noise X once:
-    the draw (ensemble._draw_bytes), truncate_noise (truncate_normalize
-    holds two more n x m arrays beside X), and the Gram-once kernel (four n x n arrays at the observed eigh, and the m-vector
-    probe of the projection measurement with its scaled copy).
+    then the larger of two phases, each holding the n x m noise X once: the
+    draw (ensemble._draw_bytes) and the Gram-once kernel (four n x n arrays
+    at the observed eigh, and the m-vector probe of the projection
+    measurement with its scaled copy).
     """
-    x = 8 * n * m
-    clip = 3 * x if truncate_noise else 0
-    kernel = x + 8 * ((4 if r else 3) * n * n + 2 * m)
-    return (8 * (n + m) * r + max(_draw_bytes(n, m, noise_family), clip, kernel)
+    kernel = 8 * (n * m + (4 if r else 3) * n * n + 2 * m)
+    return (8 * (n + m) * r + max(_draw_bytes(n, m, noise_family), kernel)
             + _TRIAL_OVERHEAD)
 
 
@@ -163,7 +159,7 @@ class ExperimentReport:
 
 @_runtime.one_blas_thread()
 def run_trial(config, trial_index, measure_stieltjes=False,
-              measure_projection=False, truncate_noise=False, u_offset=0.0):
+              measure_projection=False, u_offset=0.0):
     """One full measurement pass; deterministic in (config.seed, trial_index).
 
     Spikes are matched to empirical triples by rank order. lambda_bar is
@@ -176,18 +172,14 @@ def run_trial(config, trial_index, measure_stieltjes=False,
     u_n = 1 + (2 + PROBE_ETA + u_offset) sqrt(beta); both should decay like
     n^(-ell). measure_projection sets proj_energy, the energy of an
     independent v with i.i.d. N(0, 1/m) entries inside the row space of X,
-    of expected size beta. truncate_noise reruns the draw with
-    truncated-and-normalized noise entries (a perturbation that moves
-    eigenvalues by at most O(1/sqrt(nm))). The one-config case of
-    run_experiments' trial.
+    of expected size beta. The one-config case of run_experiments' trial.
     """
     return _record(config, trial_index, *_draw_trial(
-        config, trial_index, measure_stieltjes, measure_projection,
-        truncate_noise, u_offset))
+        config, trial_index, measure_stieltjes, measure_projection, u_offset))
 
 
 def _draw_trial(config, trial_index, measure_stieltjes=False,
-                measure_projection=False, truncate_noise=False, u_offset=0.0):
+                measure_projection=False, u_offset=0.0):
     """(kernel, noise) of one trial's draw, shared by every strength.
 
     kernel is the sample's _kernel, and noise maps the noise-only fields to
@@ -196,9 +188,6 @@ def _draw_trial(config, trial_index, measure_stieltjes=False,
     inherits it.
     """
     sample = sample_model(config, trial_index)
-    if truncate_noise:
-        sample = assemble_spiked(sample.U, sample.V, sample.theta,
-                                 truncate_normalize(sample.X))
     # One set of sufficient statistics serves the spectrum, the overlaps and
     # both noise measurements.
     kernel = sample._kernel
@@ -306,8 +295,7 @@ def run_experiments(configs, trials, parallelism=0, schedule="fixed",
         return [attempt(_record, config, i, *shared) for config in configs]
 
     per_trial = list(_runtime.pinned_map(work, trials, parallelism, trial_bytes(
-        base.n, base.m, base.r, base.noise_family,
-        trial_kwargs.get("truncate_noise", False))))
+        base.n, base.m, base.r, base.noise_family)))
     return [_report(config, schedule, trials, outcomes)
             for config, outcomes in zip(configs, zip(*per_trial))]
 
@@ -372,13 +360,17 @@ def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
           **trial_kwargs):
     """One experiment per n with m_n = ceil(n / beta_n); returns (config, report) pairs.
 
-    Sizes with n * m > MAX_ENTRIES are skipped with a warning instead of
-    failing the sweep. The rule is fixed, so which sizes run never depends
-    on the machine; the machine's cores and MemAvailable only choose how
-    many trials of a size run at once (see run_experiment).
+    Every size is checked before any experiment runs: n < 1 or a beta_n
+    outside (0, 1] raises ValidationError, and sizes with n * m > MAX_ENTRIES
+    are skipped with a warning instead of failing the sweep. The rule is
+    fixed, so which sizes run never depends on the machine; the machine's
+    cores and MemAvailable only choose how many trials of a size run at once
+    (see run_experiment).
     """
-    results = []
+    configs = []
     for n in n_values:
+        if not n >= 1:
+            raise ValidationError(f"sweep sizes must be >= 1, got n={n}")
         beta = beta_schedule.beta_at(n)
         if not 0.0 < beta <= 1.0:
             raise ValidationError(f"schedule gives beta={beta} at n={n}")
@@ -386,11 +378,10 @@ def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
         if n * m > MAX_ENTRIES:
             warnings.warn(f"skipping n={n}: {n}x{m} exceeds the memory budget")
             continue
-        config = base_config.replace(n=int(n), m=int(m))
-        report = run_experiment(config, trials, parallelism,
-                                schedule=beta_schedule.describe(), **trial_kwargs)
-        results.append((config, report))
-    return results
+        configs.append(base_config.replace(n=int(n), m=int(m)))
+    return [(config, run_experiment(config, trials, parallelism,
+                                    schedule=beta_schedule.describe(), **trial_kwargs))
+            for config in configs]
 
 
 def probe_deviation(eigenvalues, beta, center, radius, reference=None):

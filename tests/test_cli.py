@@ -437,3 +437,26 @@ class TestUsage:
     def test_unknown_verb_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--n-values", "20,0", "--trials", "1"),
+        ("sweep", "--n-values", "20,-5", "--trials", "1"),
+        ("sweep", "--n-values", ""),
+        ("verify", "--n", "20", "--m", "200", "--draws", "0"),
+        ("simulate", "--n", "20", "--m", "200", "--trials", "0"),
+        ("estimate", "--input", "empty.csv"),
+    ], ids=["sweep-zero", "sweep-negative", "sweep-empty", "verify-no-draws",
+            "simulate-no-trials", "estimate-empty-file"])
+    def test_bad_values_are_validation_errors(self, tmp_path, argv):
+        # A separate process, so stderr is all the CLI prints: warnings included.
+        (tmp_path / "empty.csv").write_text("")
+        src = Path(spikedwide.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "spikedwide.cli", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))),
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr.startswith("validation error:"), result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "sweep.csv").exists()

@@ -319,7 +319,7 @@ class TestCertifyOutliers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        forecast = trial_bytes(60, 6000, 2, family, False) + contour_bytes(60, 2)
+        forecast = trial_bytes(60, 6000, 2, family) + contour_bytes(60, 2)
         assert peak <= forecast <= 1.25 * peak, f"forecast / peak = {forecast / peak:.3f}"
 
     def test_ell_range_enforced(self):

@@ -92,10 +92,8 @@ class TestRunTrial:
         monkeypatch.setattr(SpikedSample, "X_tilde", property(formed))
         config = ModelConfig(n=120, m=12000, r=2, taus=(2.4, 0.8), seed=SUITE_SEED,
                              signal_family="orthonormal")
-        for truncate in (False, True):
-            rec = run_trial(config, 0, measure_stieltjes=True, measure_projection=True,
-                            truncate_noise=truncate)
-            assert rec.stieltjes_dev > 0 and rec.proj_energy > 0
+        rec = run_trial(config, 0, measure_stieltjes=True, measure_projection=True)
+        assert rec.stieltjes_dev > 0 and rec.proj_energy > 0
         assert [c.spike_index for c in certify_outliers(sample_model(config))] == [0]
 
     def test_rank_zero(self):
@@ -120,13 +118,12 @@ class TestRunTrial:
         assert 0 <= rec.u_overlap[0] <= 1 + 1e-8
         assert rec.bulk_top == rec.lambda_emp[1]  # i0 = 1
 
-    def test_truncation_flag_is_small_perturbation(self):
-        config = ModelConfig(n=60, m=3000, r=1, taus=(2.0,), seed=8,
-                             noise_family="student_t8")
-        plain = run_trial(config, 0)
-        truncated = run_trial(config, 0, truncate_noise=True)
-        diff = abs(plain.lambda_emp[0] - truncated.lambda_emp[0])
-        assert diff <= 10.0 / math.sqrt(60 * 3000)
+    def test_truncation_is_not_a_trial_option(self):
+        # Truncation is checked on the noise itself (acceptance criterion 8);
+        # a trial draws one sample and refuses the retired keyword.
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=8)
+        with pytest.raises(TypeError):
+            run_trial(config, 0, truncate_noise=True)
 
     def test_centered_value_concentrates(self, tau_sweep_reports):
         # tau=1.6: (lambda_1 - 1)/sqrt(beta) within [2.45, 3.45] in >= 90% of trials
@@ -279,7 +276,7 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize("trial_kwargs", [
         {"measure_stieltjes": True, "measure_projection": True},
-        {"truncate_noise": True},
+        {},
     ])
     def test_equals_one_experiment_per_config(self, trial_kwargs):
         configs = self.configs()
@@ -437,13 +434,11 @@ class TestWorkerBudget:
         assert list(_runtime.pinned_map(lambda i: i, count, cap, 1000)) == list(range(count))
         assert pool_sizes == [workers]
 
-    @pytest.mark.parametrize("truncate_noise", [False, True])
-    def test_run_experiment_budgets_by_trial_bytes(self, monkeypatch, pool_sizes,
-                                                   truncate_noise):
+    def test_run_experiment_budgets_by_trial_bytes(self, monkeypatch, pool_sizes):
         config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
-        task = montecarlo.trial_bytes(20, 200, 1, "gaussian", truncate_noise)
+        task = montecarlo.trial_bytes(20, 200, 1, "gaussian")
         monkeypatch.setattr(_runtime, "_mem_available", lambda: 3 * task + task // 2)
-        report = run_experiment(config, trials=6, truncate_noise=truncate_noise)
+        report = run_experiment(config, trials=6)
         assert pool_sizes == [3] and report.trial_count == 6
 
     def test_mem_available_reader(self, tmp_path):
@@ -669,22 +664,16 @@ class TestTrialBytes:
         # Doubling m adds one n x m array (plus terms linear in m), not three.
         n, m = 200, 40000
         for family in ("gaussian", "rademacher", "student_t8"):
-            grown = (montecarlo.trial_bytes(n, 2 * m, 2, family, False)
-                     - montecarlo.trial_bytes(n, m, 2, family, False))
+            grown = (montecarlo.trial_bytes(n, 2 * m, 2, family)
+                     - montecarlo.trial_bytes(n, m, 2, family))
             assert 8 * n * m < grown < 1.05 * 8 * n * m
-        # truncate_normalize holds at most two more n x m arrays beside X.
-        clip = (montecarlo.trial_bytes(n, m, 2, "gaussian", True)
-                - montecarlo.trial_bytes(n, m, 2, "gaussian", False))
-        assert 0 < clip <= 2 * 8 * n * m
 
     @pytest.mark.parametrize("shape", [(40, 4000), (100, 1000)])
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
-    @pytest.mark.parametrize("truncate_noise", [False, True])
-    def test_bounds_the_measured_peak(self, shape, family, truncate_noise):
+    def test_bounds_the_measured_peak(self, shape, family):
         n, m = shape
         config = ModelConfig(n=n, m=m, r=2, taus=(3.0, 1.5), noise_family=family, seed=9)
-        kw = dict(measure_stieltjes=True, measure_projection=True,
-                  truncate_noise=truncate_noise)
+        kw = dict(measure_stieltjes=True, measure_projection=True)
         run_trial(config, 0, **kw)   # lazy imports and caches outside the trace
         tracemalloc.start()
         try:
@@ -692,7 +681,7 @@ class TestTrialBytes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        forecast = montecarlo.trial_bytes(n, m, 2, family, truncate_noise)
+        forecast = montecarlo.trial_bytes(n, m, 2, family)
         assert peak <= forecast <= 1.25 * peak, f"forecast / peak = {forecast / peak:.3f}"
 
 
@@ -799,6 +788,15 @@ class TestSweep:
     def test_empty(self):
         config = ModelConfig(n=100, m=1000, r=0, seed=11)
         assert sweep(config, (), BetaSchedule(c=0.1), trials=1) == []
+
+    @pytest.mark.parametrize("sizes", [(20, 0), (20, -5)])
+    def test_every_size_is_checked_before_any_runs(self, monkeypatch, sizes):
+        ran = []
+        monkeypatch.setattr(montecarlo, "run_experiment", lambda *a, **kw: ran.append(a))
+        config = ModelConfig(n=100, m=1000, r=1, taus=(2.0,), seed=11)
+        with pytest.raises(ValidationError, match="n="):
+            sweep(config, sizes, BetaSchedule(c=1.0, alpha=0.5), trials=1)
+        assert ran == []
 
     def test_memory_budget_skips(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MAX_ENTRIES", 10_000_000)
