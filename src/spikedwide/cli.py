@@ -179,17 +179,12 @@ def _write_metadata(out_dir, verb, config):
     io.write_json(out_dir / "metadata.json", payload)
 
 
-def _model_config(cfg, n, m):
-    taus = tuple(cfg["taus"])
-    return ModelConfig(
-        n=n, m=m, r=len(taus), taus=taus, eps=tuple(cfg.get("eps", ())),
-        noise_family=cfg["noise_family"], signal_family=cfg["signal_family"],
-        seed=cfg["seed"],
-    )
+def _model_config(cfg, **sizes):
+    return ModelConfig.from_dict({**cfg, "r": len(cfg["taus"]), **sizes})
 
 
 def _cmd_simulate(cfg, out_dir):
-    config = _model_config(cfg, cfg["n"], cfg["m"])
+    config = _model_config(cfg)
     report = run_experiment(config, cfg["trials"], cfg["parallelism"])
     write_trials_csv(report.records, out_dir / "trials.csv")
     io.write_json(out_dir / "report.json", report.to_dict())
@@ -206,6 +201,7 @@ def _cmd_predict(cfg, out_dir):
 def _cmd_estimate(cfg, out_dir):
     if not cfg["input"]:
         raise ValidationError("estimate needs --input pointing at a CSV matrix")
+    estimator._check_eta(cfg["eta"])
     with warnings.catch_warnings():
         # analyze refuses an empty matrix by name; loadtxt's warning would
         # only print ahead of that error.
@@ -218,7 +214,7 @@ def _cmd_estimate(cfg, out_dir):
 
 def _cmd_sweep(cfg, out_dir):
     n_max = max(cfg["n_values"])
-    base = _model_config(cfg, n_max, 10 * n_max)
+    base = _model_config(cfg, n=n_max, m=10 * n_max)
     schedule = BetaSchedule(c=cfg["beta_c"], alpha=cfg["beta_alpha"])
     results = sweep(base, cfg["n_values"], schedule, cfg["trials"], cfg["parallelism"])
     records = [rec for _, report in results for rec in report.records]
@@ -288,12 +284,14 @@ def _identity_suite():
 
 
 def _cmd_verify(cfg, out_dir):
+    # Every flag is checked before the identity suite prints a line.
     if cfg["draws"] < 1:
         raise ValidationError("need at least one draw")
+    master._check_certify_options(cfg["nodes"], cfg["ell"])
+    config = _model_config(cfg)
     ok, lines = _identity_suite()
     for line in lines:
         print(line)
-    config = _model_config(cfg, cfg["n"], cfg["m"])
 
     def certify(draw):
         # Only the certificates leave the task, so no sample outlives its draw.

@@ -323,7 +323,14 @@ class SpikedSample:
 
     def __post_init__(self):
         for name in ("U", "V", "theta", "X"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), float)))
+            object.__setattr__(self, name, _freeze(
+                np.atleast_1d(np.asarray(getattr(self, name), float))))
+        U, V, theta, X = self.U, self.V, self.theta, self.X
+        if (X.ndim != 2 or theta.ndim != 1 or U.shape != (self.n, self.r)
+                or V.shape != (self.m, self.r)):
+            raise ValidationError(
+                f"shape mismatch: U {U.shape}, V {V.shape}, theta {theta.shape}, X {X.shape}"
+            )
 
     @cached_property
     def X_tilde(self):
@@ -520,16 +527,6 @@ def _overlap(tail, span):
 
 def assemble_spiked(U, V, theta, X):
     """Combine factors into a SpikedSample; X_tilde = sqrt(m) U diag(theta) V' + X is lazy."""
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    X = np.asarray(X, dtype=float)
-    n, m = X.shape
-    r = theta.shape[0]
-    if U.shape != (n, r) or V.shape != (m, r):
-        raise ValidationError(
-            f"shape mismatch: U {U.shape}, V {V.shape}, theta {theta.shape}, X {X.shape}"
-        )
     return SpikedSample(U=U, V=V, theta=theta, X=X)
 
 

@@ -53,11 +53,16 @@ class EstimationReport:
         return asdict(self)
 
 
+def _check_eta(eta):
+    """detect_outliers' check of eta, run before any matrix is read."""
+    if not eta > 0:
+        raise ValidationError("eta must be positive")
+
+
 def detect_outliers(eigenvalues, beta, eta=DEFAULT_ETA):
     """Positions of eigenvalues above 1 + (2 + eta) sqrt(beta), scanning from the
     top and stopping at the first non-exceedance."""
-    if not eta > 0:
-        raise ValidationError("eta must be positive")
+    _check_eta(eta)
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(np.diff(lam) > 0):
         raise ValidationError("eigenvalues must be sorted descending")

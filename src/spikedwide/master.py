@@ -204,6 +204,14 @@ def rescale_blocks(master):
                         beta=b, theta=master.theta)
 
 
+def _check_certify_options(nodes, ell=DEFAULT_ELL):
+    """The one check of certify_outliers' ell and winding_count's nodes."""
+    if not 0.0 < ell < 0.25:
+        raise ValidationError("ell must lie in (0, 1/4)")
+    if nodes < 64:
+        raise ValidationError("need at least 64 contour nodes")
+
+
 def winding_count(f, center, radius, nodes=DEFAULT_NODES):
     """Number of zeros of f inside the circle, by discrete argument tracking.
 
@@ -213,8 +221,7 @@ def winding_count(f, center, radius, nodes=DEFAULT_NODES):
     doubling, Delves & Lyness 1967) and f must not (nearly) vanish on the
     contour, or CertificationError is raised.
     """
-    if nodes < 64:
-        raise ValidationError("need at least 64 contour nodes")
+    _check_certify_options(nodes)
     if radius <= 0:
         raise ValidationError("radius must be positive")
     angles = 2.0 * math.pi * np.arange(2 * nodes) / (2 * nodes)
@@ -267,8 +274,7 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     has winding number exactly 1. Also reports the rank-matched empirical
     eigenvalue and its gap in sqrt(beta) units.
     """
-    if not 0.0 < ell < 0.25:
-        raise ValidationError("ell must lie in (0, 1/4)")
+    _check_certify_options(nodes, ell)
     if sample.r == 0:
         return []
     beta = sample.beta

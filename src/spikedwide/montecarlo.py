@@ -19,7 +19,7 @@ per strength. run_experiment and run_trial are its one-config case.
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -250,13 +250,13 @@ def _cross_max(ov):
 _DRAW_FIELDS = ("n", "m", "r", "noise_family", "signal_family", "seed")
 
 
-def run_experiments(configs, trials, parallelism=0, schedule="fixed",
-                    **trial_kwargs):
+def run_experiments(configs, trials, parallelism=0, **trial_kwargs):
     """Run `trials` independent trials of each config; reports in config order.
 
     The configs may differ in taus and eps only, so trial i draws the same
     X, U and V for all of them: each trial is drawn once and builds one
-    record per config. Each report equals the config's own run_experiment.
+    record per config. Each report equals the config's own run_experiment;
+    its schedule is "fixed". trial_kwargs are run_trial's measurement options.
 
     Trials run on _runtime.pinned_map, the pool `verify` draws share, with
     at most `parallelism` threads (0, the default, sets no cap); records are
@@ -296,18 +296,17 @@ def run_experiments(configs, trials, parallelism=0, schedule="fixed",
 
     per_trial = list(_runtime.pinned_map(work, trials, parallelism, trial_bytes(
         base.n, base.m, base.r, base.noise_family)))
-    return [_report(config, schedule, trials, outcomes)
+    return [_report(config, trials, outcomes)
             for config, outcomes in zip(configs, zip(*per_trial))]
 
 
-def run_experiment(config, trials, parallelism=0, schedule="fixed",
-                   **trial_kwargs):
+def run_experiment(config, trials, parallelism=0, **trial_kwargs):
     """Run `trials` independent trials of config and aggregate: the
     one-config case of run_experiments."""
-    return run_experiments([config], trials, parallelism, schedule, **trial_kwargs)[0]
+    return run_experiments([config], trials, parallelism, **trial_kwargs)[0]
 
 
-def _report(config, schedule, trials, outcomes):
+def _report(config, trials, outcomes):
     """Aggregate one config's (record, failure) outcomes in trial order."""
     good = [rec for rec, _ in outcomes if rec is not None]
     failures = [failure for _, failure in outcomes if failure is not None]
@@ -327,7 +326,7 @@ def _report(config, schedule, trials, outcomes):
     }
 
     return ExperimentReport(
-        config=config, schedule=schedule,
+        config=config, schedule="fixed",
         trial_count=len(good), failed_count=len(failures),
         per_spike=per_spike, scalars=scalars,
         records=good, failures=failures,
@@ -356,8 +355,7 @@ class BetaSchedule:
         return f"beta_n = {self.c:g} * n^-{self.alpha:g}"
 
 
-def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
-          **trial_kwargs):
+def sweep(base_config, n_values, beta_schedule, trials, parallelism=0):
     """One experiment per n with m_n = ceil(n / beta_n); returns (config, report) pairs.
 
     Every size is checked before any experiment runs: n < 1 or a beta_n
@@ -365,7 +363,8 @@ def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
     are skipped with a warning instead of failing the sweep. The rule is
     fixed, so which sizes run never depends on the machine; the machine's
     cores and MemAvailable only choose how many trials of a size run at once
-    (see run_experiment).
+    (see run_experiment). Each report is run_experiment's, measurements
+    off, with its schedule set to beta_schedule.describe().
     """
     configs = []
     for n in n_values:
@@ -379,20 +378,18 @@ def sweep(base_config, n_values, beta_schedule, trials, parallelism=0,
             warnings.warn(f"skipping n={n}: {n}x{m} exceeds the memory budget")
             continue
         configs.append(base_config.replace(n=int(n), m=int(m)))
-    return [(config, run_experiment(config, trials, parallelism,
-                                    schedule=beta_schedule.describe(), **trial_kwargs))
+    return [(config, replace(run_experiment(config, trials, parallelism),
+                             schedule=beta_schedule.describe()))
             for config in configs]
 
 
-def probe_deviation(eigenvalues, beta, center, radius, reference=None):
-    """(sup |s_emp - s_ref|, sup |s'_emp - s'_ref|) over a disc probe set.
+def probe_deviation(eigenvalues, beta, center, radius):
+    """(sup |s_emp - s_mp|, sup |s'_emp - s'_mp|) over a disc probe set.
 
     The uncountable sup is realized on a reproducible probe set: the disc
     center plus 16 equally spaced boundary points. Probes that collide with an
     eigenvalue are nudged by 1e-3 * radius, at most 3 times.
     """
-    if reference is None:
-        reference = lambda z: mp.stieltjes(z, beta)
     probes = [complex(center)]
     for k in range(16):
         angle = 2 * math.pi * k / 16
@@ -407,9 +404,9 @@ def probe_deviation(eigenvalues, beta, center, radius, reference=None):
                 if attempt == 3:
                     raise
                 z = z + 1e-3 * radius
-        s_ref, ds_ref = reference(z)
-        dev = max(dev, abs(s_emp - s_ref))
-        ddev = max(ddev, abs(ds_emp - ds_ref))
+        s_mp, ds_mp = mp.stieltjes(z, beta)
+        dev = max(dev, abs(s_emp - s_mp))
+        ddev = max(ddev, abs(ds_emp - ds_mp))
     return dev, ddev
 
 

@@ -438,18 +438,27 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "transmogrify")
         assert code == 1
 
-    @pytest.mark.parametrize("argv", [
-        ("sweep", "--n-values", "20,0", "--trials", "1"),
-        ("sweep", "--n-values", "20,-5", "--trials", "1"),
-        ("sweep", "--n-values", ""),
-        ("verify", "--n", "20", "--m", "200", "--draws", "0"),
-        ("simulate", "--n", "20", "--m", "200", "--trials", "0"),
-        ("estimate", "--input", "empty.csv"),
+    @pytest.mark.parametrize("argv, reason", [
+        (("sweep", "--n-values", "20,0", "--trials", "1"), "n=0"),
+        (("sweep", "--n-values", "20,-5", "--trials", "1"), "n=-5"),
+        (("sweep", "--n-values", ""), "need at least one size"),
+        (("verify", "--n", "20", "--m", "200", "--draws", "0"), "need at least one draw"),
+        (("simulate", "--n", "20", "--m", "200", "--trials", "0"), "need at least one trial"),
+        (("estimate", "--input", "empty.csv"), "at least one row and one column"),
+        (("verify", "--n", "20", "--m", "200", "--nodes", "0"), "64 contour nodes"),
+        (("verify", "--n", "20", "--m", "200", "--ell", "0"), "ell must lie"),
+        # No spike above threshold: no contour is drawn, nodes is still checked.
+        (("verify", "--n", "20", "--m", "200", "--taus", "0.5", "--nodes", "0"),
+         "64 contour nodes"),
+        # eta is checked before the CSV is read, so its bad token is never reached.
+        (("estimate", "--input", "unparsed.csv", "--eta", "0"), "eta must be positive"),
     ], ids=["sweep-zero", "sweep-negative", "sweep-empty", "verify-no-draws",
-            "simulate-no-trials", "estimate-empty-file"])
-    def test_bad_values_are_validation_errors(self, tmp_path, argv):
+            "simulate-no-trials", "estimate-empty-file", "verify-no-nodes",
+            "verify-zero-ell", "verify-subcritical-no-nodes", "estimate-zero-eta"])
+    def test_bad_values_are_validation_errors(self, tmp_path, argv, reason):
         # A separate process, so stderr is all the CLI prints: warnings included.
         (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "unparsed.csv").write_text("1,2\n3,x\n")
         src = Path(spikedwide.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-m", "spikedwide.cli", *argv], cwd=tmp_path,
@@ -458,5 +467,7 @@ class TestUsage:
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 1
         assert result.stderr.startswith("validation error:"), result.stderr
+        assert reason in result.stderr
         assert "Traceback" not in result.stderr
+        assert result.stdout == ""
         assert not (tmp_path / "sweep.csv").exists()

@@ -14,6 +14,7 @@ import pytest
 from spikedwide import _runtime, ensemble
 from spikedwide.ensemble import (
     ModelConfig,
+    SpikedSample,
     assemble_spiked,
     calibrate_signal_strengths,
     sample_model,
@@ -453,6 +454,11 @@ class TestAssembly:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             assemble_spiked(np.zeros((3, 1)), np.zeros((5, 1)), [1.0], np.zeros((3, 4)))
+
+    def test_sample_checks_its_own_shapes(self):
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            SpikedSample(U=np.zeros((3, 1)), V=np.zeros((5, 1)), theta=[1.0],
+                         X=np.ones((4, 5)))
 
 
 class TestModelConfig:

@@ -329,6 +329,12 @@ class TestCertifyOutliers:
             with pytest.raises(ValidationError):
                 certify_outliers(sample, ell=ell)
 
+    @pytest.mark.parametrize("taus", [(), (0.5,)], ids=["rank-zero", "subcritical"])
+    def test_nodes_checked_with_no_contour_to_draw(self, taus):
+        config = ModelConfig(n=40, m=2000, r=len(taus), taus=taus, seed=SEED)
+        with pytest.raises(ValidationError, match="64 contour nodes"):
+            certify_outliers(sample_model(config), nodes=0)
+
     def test_one_gram_per_sample(self, monkeypatch):
         # Certificates, the evaluator and empirical_master all read the
         # sample's one kernel: one Gram and one noise eigh between them.

@@ -152,6 +152,12 @@ class TestRunExperiment:
             assert agg == threaded.per_spike[0][name]
         assert serial.scalars["bulk_top"] == threaded.scalars["bulk_top"]
 
+    def test_schedule_is_fixed_and_not_an_argument(self):
+        config = ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=9)
+        assert run_experiment(config, trials=1).to_dict()["schedule"] == "fixed"
+        with pytest.raises(TypeError):
+            run_experiment(config, 1, 0, "fixed")
+
     def test_measured_scalars_aggregate_only_when_on(self):
         config = ModelConfig(n=30, m=600, r=1, taus=(2.0,), seed=9)
         plain, stieltjes, projection = (
@@ -805,6 +811,18 @@ class TestSweep:
             results = sweep(config, (50, 4000), BetaSchedule(c=0.1), trials=1)
         assert [c.n for c, _ in results] == [50]
 
+    def test_reports_carry_the_schedule(self):
+        config = ModelConfig(n=100, m=1000, r=1, taus=(2.0,), seed=11)
+        schedule = BetaSchedule(c=1.0, alpha=0.5)
+        results = sweep(config, (20, 40), schedule, trials=1)
+        assert [report.to_dict()["schedule"] for _, report in results] == [
+            schedule.describe()] * 2
+
+    def test_takes_no_trial_options(self):
+        config = ModelConfig(n=100, m=1000, r=1, taus=(2.0,), seed=11)
+        with pytest.raises(TypeError):
+            sweep(config, (20,), BetaSchedule(c=0.1), 1, measure_stieltjes=True)
+
     def test_schedule_validation(self):
         with pytest.raises(ValidationError):
             BetaSchedule(c=-1.0)
@@ -813,11 +831,11 @@ class TestSweep:
 
 
 class TestStieltjesDeviation:
-    def test_self_reference_is_zero(self):
+    def test_self_reference_is_zero(self, monkeypatch):
         lam = np.linspace(0.5, 1.5, 40)
-        dev, ddev = probe_deviation(
-            lam, 0.01, 2.0, 0.05,
-            reference=lambda z: empirical_stieltjes(lam, z))
+        monkeypatch.setattr(montecarlo.mp, "stieltjes",
+                            lambda z, beta: empirical_stieltjes(lam, z))
+        dev, ddev = probe_deviation(lam, 0.01, 2.0, 0.05)
         assert dev == 0.0 and ddev == 0.0
 
     def test_normalized_deviation_small(self):
