@@ -1,11 +1,12 @@
 """The process's cores, core budget, OpenBLAS pin, memory headroom and task pool.
 
-Every trial, certificate draw and estimate does its BLAS and LAPACK work on
-TRIAL_BLAS_THREADS OpenBLAS threads, since the Gram and eigh round
-differently under one and two threads: one_blas_thread pins the count
-process-wide, the first entry saving it and the last exit restoring it,
-from whichever threads they come. So outputs do not depend on the worker
-count, the core count or OPENBLAS_NUM_THREADS.
+Every trial, certificate and estimate, from the CLI or from a library call
+to montecarlo.run_trial, master.certify_outliers or estimator.analyze, does
+its BLAS and LAPACK work on TRIAL_BLAS_THREADS OpenBLAS threads, since the
+Gram and eigh round differently under one and two threads: one_blas_thread
+pins the count process-wide, the first entry saving it and the last exit
+restoring it, from whichever threads they come. So outputs do not depend on
+the worker count, the core count or OPENBLAS_NUM_THREADS.
 
 One budget counts the cores in use. pinned_map, the one task pool, holds
 its worker count while it runs. A noise draw takes only what is left, never

@@ -29,6 +29,7 @@ import math
 import mmap
 import os
 import sys
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -98,10 +99,8 @@ _UNTRACK = ctypes.pythonapi.PyTraceMalloc_Untrack
 _UNTRACK.argtypes = (ctypes.c_uint, ctypes.c_size_t)
 
 #: Mappings of noise draws that died, newest last, kept for the next draws;
-#: at most one per core, as many as a pool of draws holds at once. The count
-#: is read at import: a lease that dies at exit cannot call into a cleared module.
+#: at most one per core, as many as a pool of draws holds at once.
 _idle_maps = []
-_IDLE_MAX = _runtime.available_cores()
 #: Mapping sizes that have died before: only a repeated size is kept idle.
 _dead_sizes = set()
 #: numpy advises huge pages for its own buffers of 4 MiB or more; so do we.
@@ -117,11 +116,11 @@ def _mapped_empty(shape):
     span an earlier draw left, unless smaller blocks took part of it; then
     the heap grows by one more draw and keeps it, so peak RSS stepped by one
     X at random. Here a draw takes the newest idle mapping when it is large
-    enough, and otherwise drops every idle mapping and maps afresh. When the
-    last view of a draw dies, its mapping turns idle, except the first of
-    each size, which is unmapped, as malloc unmaps its first mapped block of
-    a size and keeps later ones on its heap. So repeated draws reuse
-    resident pages whatever the heap holds, and a single draw leaves nothing.
+    enough, and otherwise drops every idle mapping and maps afresh. A draw's
+    mapping is released, by _release, when its last view dies. So repeated
+    draws reuse resident pages whatever the heap holds, and a single draw
+    leaves nothing. While the draw lives, tracemalloc counts its bytes in
+    numpy's domain, as numpy counts its own buffers.
     """
     nbytes = 8 * math.prod(shape)
     try:
@@ -140,29 +139,23 @@ def _mapped_empty(shape):
         # is mapped, trimmed and faulted in afresh. One untouched malloc block
         # of the draw's size, freed at once, raises them the same way.
         np.empty(nbytes, dtype=np.uint8)
-    return np.asarray(_Lease(buf, shape, nbytes))
+    flat = np.frombuffer(buf, dtype=np.float64, count=nbytes // 8)
+    _TRACK(np.lib.tracemalloc_domain, flat.ctypes.data, nbytes)
+    weakref.finalize(flat, _release, buf, flat.ctypes.data)
+    return flat.reshape(shape)
 
 
-class _Lease:
-    """One draw's hold on a mapping: numpy keeps it as the base of the array,
-    so it dies with the last view. While it lives, tracemalloc counts the
-    draw's bytes in numpy's domain, as numpy counts its own buffers."""
-
-    def __init__(self, buf, shape, nbytes):
-        self.buf = buf
-        self.address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-        self.__array_interface__ = {"version": 3, "typestr": "<f8", "shape": shape,
-                                    "data": (self.address, False)}
-        _TRACK(np.lib.tracemalloc_domain, self.address, nbytes)
-
-    # Bound at definition, so a lease freed at interpreter exit still finds them.
-    def __del__(self, untrack=_UNTRACK, domain=np.lib.tracemalloc_domain,
-                idle=_idle_maps, idle_max=_IDLE_MAX, dead=_dead_sizes):
-        untrack(domain, self.address)
-        size = len(self.buf)
-        if size in dead and len(idle) < idle_max:
-            idle.append(self.buf)
-        dead.add(size)
+def _release(buf, address):
+    """Untrack a dead draw's bytes and keep its mapping idle, unless it is
+    the first of its size to die (malloc too unmaps its first mapped block
+    of a size and keeps later ones on its heap) or available_cores() are
+    idle already. weakref.finalize also runs it at exit, for draws still
+    alive, before any module is torn down."""
+    _UNTRACK(np.lib.tracemalloc_domain, address)
+    size = len(buf)
+    if size in _dead_sizes and len(_idle_maps) < _runtime.available_cores():
+        _idle_maps.append(buf)
+    _dead_sizes.add(size)
 
 
 def _rademacher(rng, chunk):

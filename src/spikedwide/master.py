@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import mp
+from . import _runtime, mp
 from .errors import CertificationError, PoleError, ValidationError
 from .predictions import outlier_locations
 from .spectra import empirical_stieltjes
@@ -262,6 +262,7 @@ def _contour_clear(noise_eigenvalues, center, radius):
     return not (np.any(np.abs(d - radius) < margin) or np.any(d < radius - margin))
 
 
+@_runtime.one_blas_thread()
 def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     """Winding-number certificates for every above-threshold spike.
 

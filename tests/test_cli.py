@@ -16,6 +16,7 @@ from spikedwide import _runtime, cli, io
 from spikedwide.cli import main
 from spikedwide.ensemble import ModelConfig, sample_model, sample_noise, stream
 from spikedwide.errors import CertificationError
+from spikedwide.master import certify_outliers
 
 SEED = 20260808
 
@@ -351,6 +352,23 @@ class TestVerify:
         # The bytes certificates.json has had since verify joined the pinned pool.
         digest = hashlib.sha256((tmp_path / "certificates.json").read_bytes()).hexdigest()
         assert digest == "496dc95bc5b6614e3fb8f4b982c28986c01f1b1354aa131b8f26b7c6df91b8a8"
+
+    @pytest.mark.skipif(_runtime._OPENBLAS is None,
+                        reason="no OpenBLAS handle in this process")
+    def test_library_certificates_are_verify_rows(self, capsys, tmp_path):
+        # certify_outliers pins one BLAS thread on its own: on two OpenBLAS
+        # threads a library call gives verify's rows to the last digit.
+        assert run_cli(capsys, "verify", "--seed", "1", "--out-dir", str(tmp_path))[0] == 0
+        config = ModelConfig(n=300, m=30000, r=1, taus=(2.0,), seed=1)
+        get, set_ = _runtime._OPENBLAS
+        before = get()
+        set_(2)
+        try:
+            rows = [{"draw": draw, **cert.to_dict()} for draw in range(3)
+                    for cert in certify_outliers(sample_model(config, trial_index=draw))]
+        finally:
+            set_(before)
+        assert rows == io.read_json(tmp_path / "certificates.json")
 
     def test_uncertifiable_spike_is_numerical_failure(self, capsys, tmp_path):
         # Near-critical spike: the contour around the predicted location

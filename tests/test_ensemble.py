@@ -29,11 +29,11 @@ from spikedwide.errors import ValidationError
 SEED = 20260808
 
 
-def _fresh_process_output(script):
-    """stdout of `script` run by a new interpreter that imports this spikedwide."""
+def _fresh_process(script, check=True):
+    """`script` run by a new interpreter that imports this spikedwide."""
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(Path(ensemble.__file__).parents[1]))).stdout
+        [sys.executable, "-c", script], capture_output=True, text=True, check=check,
+        env=dict(os.environ, PYTHONPATH=str(Path(ensemble.__file__).parents[1])))
 
 
 class TestCalibration:
@@ -216,6 +216,21 @@ class TestNoise:
             larger = draw(40)   # too large for the idle mapping, which is dropped
             assert larger.ctypes.data != address and ensemble._idle_maps == []
 
+    def test_draws_alive_at_exit_are_released_quietly(self):
+        # In a fresh process: a sample in a module global and a draw in a
+        # reference cycle outlive the script. Their mappings are released
+        # at exit, before any module is torn down.
+        script = """
+from spikedwide.ensemble import ModelConfig, sample_model, sample_noise, stream
+
+sample = sample_model(ModelConfig(n=20, m=200, r=1, taus=(2.0,), seed=1))
+sample._kernel
+cycle = [sample_noise(20, 200, "gaussian", stream(1, "noise"))]
+cycle.append(cycle)
+"""
+        done = _fresh_process(script, check=False)
+        assert (done.returncode, done.stderr) == (0, "")
+
     @pytest.mark.parametrize("family", ["gaussian", "rademacher", "student_t8"])
     def test_heap_history_does_not_grow_the_next_draw(self, family):
         # In a fresh process: a 30.5 MiB draw (under malloc's 32 MiB cap on
@@ -241,7 +256,7 @@ before = resident()
 x = sample_noise(200, 20000, "{family}", rng)
 print((resident() - before) / x.nbytes)
 """
-        ratio = float(_fresh_process_output(script))
+        ratio = float(_fresh_process(script).stdout)
         assert ratio < 0.25, ratio
 
     def test_mid_sized_arrays_after_a_draw_stay_resident(self):
@@ -264,7 +279,7 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 churn()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-        faults = int(_fresh_process_output(script))
+        faults = int(_fresh_process(script).stdout)
         assert faults < 200, faults
 
     def test_student_t(self):

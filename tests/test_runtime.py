@@ -1,5 +1,5 @@
 """The process's one core count: patched once, it reaches the task pool, the
-noise draw's split and the CSV fork path."""
+noise draw's split, the idle-mapping cap and the CSV fork path."""
 
 import numpy as np
 import pytest
@@ -26,6 +26,19 @@ def test_one_core_count_reaches_every_consumer(monkeypatch, tmp_path, cores):
     monkeypatch.setattr(io, "_fork_workers", recording_fork)
     io.read_matrix(path)
 
+    # Four draws of one size die together: the first is unmapped, and at
+    # most one mapping per core of the other three is kept idle.
+    ensemble._idle_maps.clear()
+    ensemble._dead_sizes.clear()
+    try:
+        draws = [ensemble.sample_noise(4, 100, "gaussian", stream(9, "noise"))
+                 for _ in range(4)]
+        del draws
+        idle = len(ensemble._idle_maps)
+    finally:
+        ensemble._idle_maps.clear()
+        ensemble._dead_sizes.clear()
+
     # 96 x 32768 is three pieces of the smallest split: more than a
     # 2-core machine's own count would allow.
     pieces = []
@@ -51,3 +64,4 @@ def test_one_core_count_reaches_every_consumer(monkeypatch, tmp_path, cores):
     assert sizes == [cores]
     assert pieces == [cores]
     assert forked == ([cores] if cores > 1 else [])
+    assert idle == min(cores, 3)
