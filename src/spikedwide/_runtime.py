@@ -64,19 +64,36 @@ def hold_cores(count, idle_only=False):
             _cores_held -= own + count
 
 
+def _relay(task, i, failures):
+    """Run task(i), keeping what it raises in failures[i]."""
+    try:
+        task(i)
+    except BaseException as exc:
+        failures[i] = exc
+
+
 def on_threads(task, count):
     """Run task(0) on this thread and task(1), ..., task(count - 1) on
-    threads of their own; return once every one has ended."""
+    threads of their own. Once every one has ended, raise the exception of
+    the lowest index that raised, if any."""
+    failures = {}
     helpers = []
     try:
         for i in range(1, count):
-            helper = threading.Thread(target=task, args=(i,), name="spikedwide-draw")
+            helper = threading.Thread(target=_relay, args=(task, i, failures),
+                                      name="spikedwide-draw")
             helper.start()
             helpers.append(helper)
-        task(0)
+        _relay(task, 0, failures)
     finally:
         for helper in helpers:
             helper.join()
+    if failures:
+        try:
+            raise failures[min(failures)]
+        finally:
+            # Keep no cycle from an error through a relay's frame back to it.
+            failures.clear()
 
 
 #: OpenBLAS threads per trial: a constant, not the machine default.

@@ -19,7 +19,8 @@ repeats the previous piece's last 8 values. Seam by seam, in order, the
 index after their first copy is the overlap s: the piece moves left by s
 and draws s more values at its end. A piece with no copy is drawn again
 from the previous piece's generator, as the serial draw does. Idle cores
-are those the core budget of _runtime leaves.
+are those the core budget of _runtime leaves. A failing piece fails the
+draw once every piece has ended (_runtime.on_threads).
 """
 
 import contextlib
@@ -442,29 +443,13 @@ def _draw_pieces(fill, flat, rng, pieces, words):
     Piece 0 is drawn from rng on this thread. Piece i, from flat index lo on,
     is drawn on a thread of its own from a copy of rng advanced by
     words * (lo - _SEAM) words, at or before the serial position of value
-    lo - _SEAM. An error in any piece is raised once every piece has ended.
-    Then _align moves each piece onto its true start, in order.
+    lo - _SEAM. on_threads raises the lowest failing piece's error once
+    every piece has ended. Then _align moves each piece onto its true start.
     """
     bounds = [flat.size * i // pieces for i in range(pieces + 1)]
     spans = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     gens = [rng] + [_advanced(rng, words * (lo - _SEAM)) for lo in bounds[1:-1]]
-    errors = [None] * pieces
-
-    def draw(i):
-        try:
-            _fill_span(fill, gens[i], spans[i])
-        except BaseException as exc:
-            errors[i] = exc
-
-    _runtime.on_threads(draw, pieces)
-    error = next((exc for exc in errors if exc is not None), None)
-    if error is not None:
-        # Keep no cycle from the error through these frames to X.
-        errors.clear()
-        try:
-            raise error
-        finally:
-            del error
+    _runtime.on_threads(lambda i: _fill_span(fill, gens[i], spans[i]), pieces)
     for i in range(1, pieces):
         gens[i] = _align(fill, flat[bounds[i] - _SEAM:bounds[i]], spans[i],
                          gens[i - 1], gens[i])

@@ -3,12 +3,13 @@
 A large matrix crosses the CSV boundary on every core, both ways, as
 _runtime.available_cores() counts them: read_matrix parses one
 newline-aligned byte range per core and write_matrix formats one contiguous
-row range per core, each range in a forked worker (_fork_workers). Whenever
-that path cannot vouch for its result, one serial call does the whole job
-again, so the array, the bytes and every error are the serial call's.
+row range per core, each range in a silent forked worker (_fork_workers)
+that reports only whether its body, a plain function, returned true.
+Whenever that path cannot vouch for its result, one serial call does the
+whole job again, so the array, the bytes and every error are the serial
+call's.
 """
 
-import functools
 import itertools
 import json
 import mmap
@@ -42,35 +43,19 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 
 
-def _worker_body(fn):
-    """Make fn the body of a forked worker; calling it never returns.
-
-    The worker sends file descriptor 2 to /dev/null, and sys.stderr with it
-    (a caller may have pointed sys.stderr at another descriptor), and leaves
-    through os._exit: 0 when fn returned true, 1 when it returned false or raised.
-    So it prints nothing, and it runs none of the parent's cleanup handlers
-    and flushes none of its buffers.
-    """
-    @functools.wraps(fn)
-    def body(*args):
-        code = 1
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
-            sys.stderr = open(2, "w", closefd=False)
-            code = 0 if fn(*args) else 1
-        finally:
-            os._exit(code)
-    return body
-
-
 def _fork_workers(body, jobs, parent=None):
-    """Run body(*job) in one forked worker per job; whether every one exited 0.
+    """Run body(*job) in one forked worker per job; whether every body
+    returned true.
 
-    body is a _worker_body. parent(), when given, runs here once every worker
-    has started. Other Python threads running or a failed fork give False,
-    and an exception from parent() propagates; on either failure the workers
-    started are killed first. Every worker started is reaped before this
-    returns.
+    Each worker sends file descriptor 2 to /dev/null, and sys.stderr with it
+    (a caller may have pointed sys.stderr at another descriptor), and leaves
+    through os._exit: 0 when body returned true, 1 when it returned false or
+    raised. So a worker prints nothing, runs none of the parent's cleanup
+    handlers and flushes none of its buffers. parent(), when given, runs
+    here once every worker has started. Other Python threads running or a
+    failed fork give False, and an exception from parent() propagates; on
+    either failure the workers started are killed first. Every worker
+    started is reaped before this returns.
     """
     # fork copies only the calling thread, so other Python threads could
     # leave a lock held in the child.
@@ -84,7 +69,13 @@ def _fork_workers(body, jobs, parent=None):
             except OSError:   # no process to spare
                 return False
             if pid == 0:
-                body(*job)   # never returns
+                code = 1
+                try:
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+                    sys.stderr = open(2, "w", closefd=False)
+                    code = 0 if body(*job) else 1
+                finally:
+                    os._exit(code)
             pids.append(pid)
         if parent is not None:
             parent()
@@ -159,13 +150,12 @@ def _count_lines(fh, start, end):
     return lines + (not block.endswith(b"\n"))
 
 
-@_worker_body
 def _parse_range(path, start, out):
-    """Worker body: parse len(out) lines from byte `start` into out, then exit.
+    """Parse len(out) lines from byte `start` into out; whether it did.
 
-    Exits 0 only when np.loadtxt gave exactly out's shape: a skipped comment
-    or blank line, a ragged row or a bad token makes it exit 1, and the
-    caller parses the file whole.
+    A _fork_workers body. True only when np.loadtxt gave exactly out's
+    shape: a skipped comment or blank line, a ragged row or a bad token
+    gives False or raises, and the caller parses the file whole.
     """
     # Text mode with the default encoding decodes as np.loadtxt(path) does;
     # newline="\n" ends lines only at the bytes counted, so a lone "\r" fails
@@ -246,13 +236,12 @@ def _write_split(path, matrix):
         _close_all(reads + writes)
 
 
-@_worker_body
 def _format_range(rows, fd, others):
-    """Worker body: write the CSV text of rows into the pipe fd, then exit.
+    """Write the CSV text of rows into the pipe fd; True once it has.
 
-    The parent drains the pipes in row order, so this range's pipe may wait
-    for every earlier range: the text is formatted in full, one bytes object
-    per row, before the first write.
+    A _fork_workers body. The parent drains the pipes in row order, so this
+    range's pipe may wait for every earlier range: the text is formatted in
+    full, one bytes object per row, before the first write.
     """
     _close_all(others)   # an inherited write end would keep its pipe from ending
     lines = [_csv_line(row).encode() for row in rows]

@@ -162,13 +162,7 @@ class TestSplitParse:
         path.write_bytes(text.encode())
         buf = mmap.mmap(-1, 2 * 3 * 8)
         out = np.frombuffer(buf, dtype=np.float64).reshape(2, 3)
-        pid = os.fork()
-        if pid == 0:
-            try:
-                io._parse_range(path, 0, out)   # exits
-            finally:
-                os._exit(99)
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == code
+        assert io._fork_workers(io._parse_range, [(path, 0, out)]) == (code == 0)
         expected = np.loadtxt(path, delimiter=",", ndmin=2) if code == 0 else np.zeros((2, 3))
         assert out.tobytes() == expected.tobytes()
 
@@ -305,9 +299,8 @@ class TestSplitWrite:
                                                         monkeypatch, capfd):
         x = self.matrix()
         last_row = x[-1].tobytes()
-        real = io._format_range.__wrapped__
+        real = io._format_range
 
-        @io._worker_body
         def fail_last_range(rows, fd, others):
             if rows[-1].tobytes() == last_row:
                 os.write(2, b"the last range fails\n")
@@ -382,7 +375,6 @@ class TestSplitWrite:
                                                            small_write_split, monkeypatch,
                                                            capfd):
         # Under capfd, sys.stderr writes to a descriptor of its own, not fd 2.
-        @io._worker_body
         def noisy(*args):
             print("a worker's traceback", file=sys.stderr, flush=True)
             return False

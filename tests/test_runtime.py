@@ -1,5 +1,9 @@
 """The process's one core count: patched once, it reaches the task pool, the
-noise draw's split, the idle-mapping cap and the CSV fork path."""
+noise draw's split, the idle-mapping cap and the CSV fork path. And the
+helper threads of on_threads: their failures reach the caller."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -65,3 +69,21 @@ def test_one_core_count_reaches_every_consumer(monkeypatch, tmp_path, cores):
     assert pieces == [cores]
     assert forked == ([cores] if cores > 1 else [])
     assert idle == min(cores, 3)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_on_threads_raises_the_lowest_failure_once_all_have_ended(first):
+    # Helper 2 fails last, after helper 1; task(0) fails too when first is 0.
+    ended = threading.Event()
+
+    def task(i):
+        if i == 2:
+            time.sleep(0.2)
+            ended.set()
+        if i >= first:
+            raise KeyError(i)
+
+    with pytest.raises(KeyError) as caught:
+        _runtime.on_threads(task, 3)
+    assert ended.is_set()
+    assert caught.value.args == (first,)
