@@ -304,10 +304,10 @@ def _freeze(a):
 class SpikedSample:
     """Realized factors of one draw; arrays are read-only after construction.
 
-    The observed matrix X_tilde is formed on first access only: the trial
-    and certificate paths work from the factors and never need it. They read
-    _kernel, the sample's one spectra._GramKernel, built on first access,
-    cached and freed with the sample.
+    The observed matrix X_tilde is formed on first access only. _kernel,
+    the sample's one spectra._GramKernel, is built on first access, cached
+    and freed with the sample; trials and certificates read it alone (see
+    _GramKernel).
     """
 
     U: np.ndarray          # n x r left signal vectors

@@ -9,9 +9,8 @@ empirical: resolvent forms of the realized noise matrix; semi_empirical:
 the empirical Stieltjes transform times identities; deterministic: the
 Marchenko-Pastur transform times identities. Outliers are certified by
 counting determinant roots inside small contours with the argument principle.
-The empirical forms and the certificates read the noise eigh of (1/m) X X',
-X V and V'V, and the observed spectrum, from the sample's one cached
-_GramKernel (SpikedSample._kernel); neither forms X_tilde.
+The empirical forms and the certificates read a sample's r and its cached
+_kernel only (see spectra._GramKernel).
 """
 
 import cmath
@@ -127,9 +126,8 @@ def semi_empirical_master(theta, noise_eigenvalues, beta, z):
 class EmpiricalMasterEvaluator:
     """Evaluates the empirical master matrix at one z or at a whole array of z.
 
-    Reads the eigh of the n x n noise Gram matrix (1/m) X X', X V and V'V
-    from the sample's cached _kernel. The m x m companion resolvent is folded
-    through the identity
+    Reads the sample's cached _kernel (see spectra._GramKernel). The m x m
+    companion resolvent is folded through the identity
     ((1/m) X'X - z)^{-1} = -(1/z) (I_m - (1/m) X' ((1/m) XX' - z)^{-1} X),
     so the resolvent forms are those of P = Q' [U | X V / sqrt(m)] in the
     diagonal 1 / (w - z). At any array of z they take two real products,
@@ -141,13 +139,13 @@ class EmpiricalMasterEvaluator:
     def __init__(self, sample):
         if sample.r < 1:
             raise ValidationError("empirical master matrix needs r >= 1")
-        self.theta = _check_theta(sample.theta)
-        self.beta = sample.beta
         kernel = sample._kernel
+        self.theta = _check_theta(kernel.theta)
+        self.beta = kernel.beta
         w, q = kernel.noise_eigh
         self.noise_eigenvalues = kernel.noise_eigenvalues
         self._w = w
-        p = q.T @ np.hstack([sample.U, kernel.XV / math.sqrt(sample.m)])   # n x 2r
+        p = q.T @ np.hstack([kernel.U, kernel.XV / math.sqrt(kernel.m)])   # n x 2r
         i, j = np.triu_indices(p.shape[1])
         self._table = p[:, i] * p[:, j]                      # n x r(2r+1), i <= j
         pair = np.empty((p.shape[1],) * 2, dtype=int)
@@ -278,15 +276,15 @@ def certify_outliers(sample, ell=DEFAULT_ELL, nodes=DEFAULT_NODES):
     _check_certify_options(nodes, ell)
     if sample.r == 0:
         return []
-    beta = sample.beta
     kernel = sample._kernel
+    beta = kernel.beta
     centers = outlier_locations(kernel.signal_strengths(), beta)
     centers = centers[~np.isnan(centers)]
     if not centers.size:
         return []
 
     evaluator = EmpiricalMasterEvaluator(sample)
-    base_radius = sample.n ** (-ell) * math.sqrt(beta)
+    base_radius = kernel.n ** (-ell) * math.sqrt(beta)
     certificates = []
     for i, center in enumerate(centers):
         winding = None

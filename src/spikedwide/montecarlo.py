@@ -9,11 +9,11 @@ fields of the same trial. CSV output is tidy: one row per (trial, spike).
 
 The streams are keyed by (seed, purpose, trial), never by the strengths, so
 configs that differ only in taus and eps draw the same matrices.
-run_experiments runs them on one draw per trial: the draw, G = X X'/m,
-X V, V'V, the noise eigh and the noise-only fields (stieltjes_dev,
-stieltjes_ddev, proj_energy) are computed once and shared; the rank-2r
-update, the observed eigh and every other field of the record are computed
-per strength. run_experiment and run_trial are its one-config case.
+run_experiments runs them on one draw per trial: the draw, its kernel
+(spectra._GramKernel, the one seam a trial reads) and the noise-only fields
+are computed once and shared; the observed spectrum and every other field
+of the record are computed per strength. run_experiment and run_trial are
+its one-config case.
 """
 
 import csv
@@ -182,22 +182,26 @@ def _draw_trial(config, trial_index, measure_stieltjes=False,
                 measure_projection=False, u_offset=0.0):
     """(kernel, noise) of one trial's draw, shared by every strength.
 
-    kernel is the sample's _kernel, and noise maps the noise-only fields to
-    their values (None when off). The noise eigh is computed here whenever
-    they or a rank-0 spectrum read it, so each strength's copy of the kernel
+    kernel is the sample's _kernel (see spectra._GramKernel) and noise maps
+    the noise-only fields to their values (None when off); the sample dies
+    here. The noise eigh is computed here whenever the noise-only fields or
+    a rank-0 spectrum read it, so each strength's copy of the kernel
     inherits it.
     """
     sample = sample_model(config, trial_index)
-    # One set of sufficient statistics serves the spectrum, the overlaps and
-    # both noise measurements.
+    if measure_projection:
+        # Its own gemv, not a column of X V, so a trial and its rank-0 twin
+        # read the same proj_energy bits.
+        v = stream(config.seed, "probe", trial_index).standard_normal(config.m)
+        xv = sample.X @ (v / math.sqrt(config.m))
     kernel = sample._kernel
+    del sample
     noise = dict.fromkeys(("stieltjes_dev", "stieltjes_ddev", "proj_energy"))
     if measure_stieltjes:
         noise["stieltjes_dev"], noise["stieltjes_ddev"] = _stieltjes_deviation(
             kernel, u_offset)
     if measure_projection:
-        noise["proj_energy"] = _projection_energy(kernel, sample.X, config.seed,
-                                                  trial_index)
+        noise["proj_energy"] = kernel.projection_energy(xv)
     if not kernel.r:
         kernel.noise_eigh  # the observed eigh of every strength
     return kernel, noise
@@ -207,8 +211,7 @@ def _record(config, trial_index, kernel, noise):
     """config's TrialRecord from _draw_trial's (kernel, noise)."""
     kernel = kernel.with_strengths(
         calibrate_signal_strengths(config.taus, config.eps, config.beta))
-    n, m, r = kernel.n, kernel.m, kernel.r
-    beta = n / m
+    n, m, r, beta = kernel.n, kernel.m, kernel.r, kernel.beta
     lam_bar = outlier_locations(kernel.theta, beta)
     i0 = int(np.count_nonzero(~np.isnan(lam_bar)))
     eigenvalues = kernel.eigenvalues
@@ -410,24 +413,14 @@ def probe_deviation(eigenvalues, beta, center, radius):
     return dev, ddev
 
 
-# Noise-only measurements on a trial's _GramKernel: both read the kernel's one
-# eigh of (1/m) X X', and the projection probe's product X v is formed from the
-# trial's X.
 def _stieltjes_deviation(kernel, u_offset):
-    n, m = kernel.n, kernel.m
-    beta = n / m
+    n, beta = kernel.n, kernel.beta
     sqrt_beta = math.sqrt(beta)
     center = 1.0 + (2.0 + PROBE_ETA) * sqrt_beta + u_offset * sqrt_beta
     eigs = kernel.noise_eigenvalues
     dev, _ = probe_deviation(eigs, beta, center, n ** -0.25 * sqrt_beta)
     _, ddev = probe_deviation(eigs, beta, center, n ** -0.125 * sqrt_beta)
     return dev * sqrt_beta, ddev * beta
-
-
-def _projection_energy(kernel, X, seed, trial_index):
-    m = kernel.m
-    v = stream(seed, "probe", trial_index).standard_normal(m)
-    return kernel.projection_energy(X @ (v / math.sqrt(m)))
 
 
 def fit_rate(pairs):

@@ -72,19 +72,22 @@ def top_spectrum(X_tilde, k):
 class _GramKernel:
     """Sufficient statistics of one observed X_tilde = X + sqrt(m) U diag(theta) V'.
 
-    The noise Gram G = (1/m) X X', X V and V'V are computed once, when the
-    kernel is built; no reference to X or V is kept, so the kernel holds
-    n x n, n x r and r x r arrays only. The eigh of G and of the observed
-    Gram are computed on first use and kept. The observed Gram is the rank-2r
-    update (1/m) X_tilde X_tilde' = G + T + T' with
+    The seam between a draw and its measurements: trials (montecarlo) and
+    certificates (master) read n, m, beta = n / m, U, theta and the
+    statistics below, never X. G = (1/m) X X', X V and V'V are computed once,
+    when the kernel is built; no reference to X or V is kept, so the kernel
+    holds n x n, n x r and r x r arrays only. The eigh of G and of the
+    observed Gram are computed on first use and kept. The observed Gram is
+    the rank-2r update (1/m) X_tilde X_tilde' = G + T + T' with
     T = (X V / sqrt(m) + U Theta (V'V) / 2) (U Theta)', exactly symmetric, so
     X_tilde is never formed. Without signal factors the observed Gram is G and
-    shares its eigh.
+    shares its eigh. The projection energy takes the product X v, which its
+    caller, montecarlo._draw_trial, forms before the kernel.
     """
 
     def __init__(self, X, U=None, theta=None, V=None):
         n, m = X.shape
-        self.n, self.m = n, m
+        self.n, self.m, self.beta = n, m, n / m
         self.theta = np.zeros(0) if theta is None else theta
         self.U = np.zeros((n, 0)) if U is None else U
         V = np.zeros((m, 0)) if V is None else V

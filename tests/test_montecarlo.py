@@ -25,7 +25,7 @@ from spikedwide.ensemble import (
     stream,
 )
 from spikedwide.errors import ExperimentError, NumericalError, PoleError, ValidationError
-from spikedwide.master import certify_outliers
+from spikedwide.master import EmpiricalMasterEvaluator, certify_outliers
 from spikedwide.montecarlo import (
     BetaSchedule,
     fit_rate,
@@ -86,15 +86,40 @@ class TestRunTrial:
         assert rec.proj_energy == pytest.approx(float(np.sum(y * y / w)), rel=1e-10)
 
     def test_trial_and_certificates_never_form_x_tilde(self, monkeypatch):
+        # Nor do they read the noise X once the sample's kernel is built.
         def formed(sample):
             raise AssertionError("X_tilde was formed")
 
+        late_reads = []
+
+        class NoiseSpy:
+            # X is a dataclass field with no class attribute: this data
+            # descriptor keeps its value in the instance __dict__.
+            def __get__(self, sample, owner=None):
+                if sample is None:
+                    return self
+                if "_kernel" in sample.__dict__:
+                    late_reads.append("X")
+                return sample.__dict__["X"]
+
+            def __set__(self, sample, value):
+                sample.__dict__["X"] = value
+
         monkeypatch.setattr(SpikedSample, "X_tilde", property(formed))
+        monkeypatch.setattr(SpikedSample, "X", NoiseSpy(), raising=False)
         config = ModelConfig(n=120, m=12000, r=2, taus=(2.4, 0.8), seed=SUITE_SEED,
                              signal_family="orthonormal")
         rec = run_trial(config, 0, measure_stieltjes=True, measure_projection=True)
         assert rec.stieltjes_dev > 0 and rec.proj_energy > 0
-        assert [c.spike_index for c in certify_outliers(sample_model(config))] == [0]
+        reports = run_experiments([config, config.replace(taus=(2.0, 0.6))], 2, 1,
+                                  measure_projection=True)
+        assert all(rec.proj_energy > 0 for report in reports for rec in report.records)
+        assert late_reads == [], "a trial read X after the kernel"
+        sample = sample_model(config)
+        assert [c.spike_index for c in certify_outliers(sample)] == [0]
+        EmpiricalMasterEvaluator(sample).det(5.0)
+        EmpiricalMasterEvaluator(sample_model(config, 1)).det(5.0)
+        assert late_reads == [], "a certificate read X after the kernel"
 
     def test_rank_zero(self):
         config = ModelConfig(n=30, m=300, r=0, seed=1)
