@@ -445,7 +445,10 @@ def _draw_pieces(fill, flat, rng, pieces, words):
     words * (lo - _SEAM) words, at or before the serial position of value
     lo - _SEAM. on_threads raises the lowest failing piece's error once
     every piece has ended. Then _align moves each piece onto its true start.
+    A one-piece draw is filled inline, with no threads and no bookkeeping.
     """
+    if pieces == 1:
+        return _fill_span(fill, rng, flat)
     bounds = [flat.size * i // pieces for i in range(pieces + 1)]
     spans = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     gens = [rng] + [_advanced(rng, words * (lo - _SEAM)) for lo in bounds[1:-1]]
@@ -453,12 +456,11 @@ def _draw_pieces(fill, flat, rng, pieces, words):
     for i in range(1, pieces):
         gens[i] = _align(fill, flat[bounds[i] - _SEAM:bounds[i]], spans[i],
                          gens[i - 1], gens[i])
-    if pieces > 1:
-        state = gens[-1].bit_generator.state
-        # advance() drops a buffered 32-bit half, which the serial draw keeps.
-        kept = rng.bit_generator.state
-        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
-        rng.bit_generator.state = state
+    state = gens[-1].bit_generator.state
+    # advance() drops a buffered 32-bit half, which the serial draw keeps.
+    kept = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+    rng.bit_generator.state = state
 
 
 def _fill_span(fill, rng, span):

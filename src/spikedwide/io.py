@@ -10,12 +10,15 @@ whole job again, so the array, the bytes and every error are the serial
 call's.
 """
 
+import contextlib
 import itertools
 import json
 import mmap
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -35,15 +38,13 @@ SPLIT_BYTES = 4 << 20
 WRITE_SPLIT_ELEMENTS = 100_000
 #: Bytes read at a time while counting the lines of a range.
 _BLOCK = 1 << 20
-#: Bytes copied at a time from a format worker's pipe into the output file.
-_PIPE_BLOCK = 1 << 16
 #: Suffixes np.loadtxt decompresses on the fly; such files are parsed whole.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 #: Workers are forked only where os has fork and sched_getaffinity.
 _FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 
 
-def _fork_workers(body, jobs, parent=None):
+def _fork_workers(body, jobs):
     """Run body(*job) in one forked worker per job; whether every body
     returned true.
 
@@ -51,11 +52,9 @@ def _fork_workers(body, jobs, parent=None):
     (a caller may have pointed sys.stderr at another descriptor), and leaves
     through os._exit: 0 when body returned true, 1 when it returned false or
     raised. So a worker prints nothing, runs none of the parent's cleanup
-    handlers and flushes none of its buffers. parent(), when given, runs
-    here once every worker has started. Other Python threads running or a
-    failed fork give False, and an exception from parent() propagates; on
-    either failure the workers started are killed first. Every worker
-    started is reaped before this returns.
+    handlers and flushes none of its buffers. Other Python threads running
+    or a failed fork give False; on a failed fork the workers started are
+    killed first. Every worker started is reaped before this returns.
     """
     # fork copies only the calling thread, so other Python threads could
     # leave a lock held in the child.
@@ -77,8 +76,6 @@ def _fork_workers(body, jobs, parent=None):
                 finally:
                     os._exit(code)
             pids.append(pid)
-        if parent is not None:
-            parent()
         done = True
     finally:
         if not done:
@@ -176,12 +173,12 @@ def write_matrix(path, matrix):
     Each row is written as ",".join(map(repr, row.tolist())) + "\\n", in any
     memory order. A matrix of at least WRITE_SPLIT_ELEMENTS per available
     core, with at least one row per worker, is formatted by forked workers,
-    one per contiguous row range, and the parent copies their text into the
-    file in row order through a 64 KB buffer. Where that path cannot run (no
-    fork or sched_getaffinity, other threads running, a failed fork) or any
-    worker fails, the serial writer rewrites the whole file, so the bytes are
-    the same either way. Complex input and a matrix with no rows or no
-    columns raise ValidationError: the CSV could not carry them back.
+    one per row range, into temporary files copied out in row order. Where
+    that path cannot run (no fork or sched_getaffinity, other threads
+    running, no temporary file, a failed fork) or any worker fails, the
+    serial writer rewrites the whole file, so the bytes are the same either
+    way. Complex input and a matrix with no rows or no columns raise
+    ValidationError: the CSV could not carry them back.
     """
     matrix = np.asarray(matrix)
     if np.iscomplexobj(matrix):
@@ -202,57 +199,36 @@ def _csv_line(row):
 
 
 def _write_split(path, matrix):
-    """Write matrix through one forked format worker per row range; whether it did."""
+    """Write matrix through one forked format worker per row range; whether it did.
+
+    Each worker streams its rows into an unlinked temporary file; once every
+    worker has succeeded, the files are copied into path in row order.
+    """
     workers = min(_runtime.available_cores(), matrix.size // WRITE_SPLIT_ELEMENTS)
     if workers < 2 or len(matrix) < workers or not _FORKS:
         return False
     ranges = np.array_split(matrix, workers)
-    reads, writes = [], []
-    try:
-        for _ in ranges:
-            r, w = os.pipe()
-            reads.append(r)
-            writes.append(w)
-    except OSError:
-        _close_all(reads + writes)
-        return False
-    jobs = [(rows, w, [fd for fd in reads + writes if fd != w])
-            for rows, w in zip(ranges, writes)]
-    try:
+    with contextlib.ExitStack() as stack:
+        try:
+            parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in ranges]
+        except OSError:
+            return False
+        jobs = [(rows, part.fileno()) for rows, part in zip(ranges, parts)]
+        if not _fork_workers(_format_range, jobs):
+            return False
         with open(path, "wb") as out:
-            def copy():
-                # The parent's write ends must go for each pipe to end.
-                _close_all(writes)
-                # One reused buffer: a fresh bytes object per read left the
-                # heap, and so the peak RSS, 5 MB higher on the planted matrix.
-                buf = bytearray(_PIPE_BLOCK)
-                view = memoryview(buf)
-                for r in reads:
-                    while n := os.readv(r, [buf]):
-                        out.write(view[:n])
-
-            return _fork_workers(_format_range, jobs, copy)
-    finally:
-        _close_all(reads + writes)
-
-
-def _format_range(rows, fd, others):
-    """Write the CSV text of rows into the pipe fd; True once it has.
-
-    A _fork_workers body. The parent drains the pipes in row order, so this
-    range's pipe may wait for every earlier range: the text is formatted in
-    full, one bytes object per row, before the first write.
-    """
-    _close_all(others)   # an inherited write end would keep its pipe from ending
-    lines = [_csv_line(row).encode() for row in rows]
-    with open(fd, "wb", buffering=_PIPE_BLOCK) as pipe:
-        pipe.writelines(lines)
+            for part in parts:
+                # The worker wrote through a shared descriptor, so its offset moved.
+                part.seek(0)
+                shutil.copyfileobj(part, out)
     return True
 
 
-def _close_all(fds):
-    while fds:
-        os.close(fds.pop())
+def _format_range(rows, fd):
+    """A _fork_workers body: stream the CSV text of rows into the file on fd."""
+    with open(fd, "w", closefd=False) as fh:
+        fh.writelines(map(_csv_line, rows))
+    return True
 
 
 def write_json(path, payload):

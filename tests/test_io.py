@@ -10,6 +10,7 @@ import mmap
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -301,11 +302,11 @@ class TestSplitWrite:
         last_row = x[-1].tobytes()
         real = io._format_range
 
-        def fail_last_range(rows, fd, others):
+        def fail_last_range(rows, fd):
             if rows[-1].tobytes() == last_row:
                 os.write(2, b"the last range fails\n")
                 os._exit(1)
-            return real(rows, fd, others)
+            return real(rows, fd)
 
         monkeypatch.setattr(io, "_format_range", fail_last_range)
         path = tmp_path / "x.csv"
@@ -318,8 +319,8 @@ class TestSplitWrite:
         assert capfd.readouterr().err == ""
 
     def test_failed_fork_kills_and_reaps(self, tmp_path, monkeypatch):
-        # Each range's text overfills its pipe: a started worker waits for a
-        # reader that never comes, so it must be killed to be reaped.
+        # Only the first fork succeeds: the worker it started must still be
+        # killed and reaped before the serial writer runs.
         monkeypatch.setattr(io, "WRITE_SPLIT_ELEMENTS", 1000)
         monkeypatch.setattr(_runtime, "available_cores", lambda: 3)
         x = np.random.default_rng(SEED).standard_normal((600, 100))
@@ -341,6 +342,34 @@ class TestSplitWrite:
         assert reaped()
         monkeypatch.undo()
         assert sha256(path) == serial_write(tmp_path / "serial.csv", x, monkeypatch)
+
+    @pytest.mark.parametrize("case", ["no temporary file", "written", "failed worker"])
+    def test_temporary_files_leave_nothing_behind(self, tmp_path, small_write_split,
+                                                 monkeypatch, case):
+        x = self.matrix()
+        serial = serial_write(tmp_path / "serial.csv", x, monkeypatch)
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        if case == "no temporary file":
+            def no_file(*args, **kwargs):
+                raise OSError(errno.EMFILE, "too many open files")
+
+            monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        elif case == "failed worker":
+            last_row, real = x[-1].tobytes(), io._format_range
+
+            def fail_last_range(rows, fd):
+                return rows[-1].tobytes() != last_row and real(rows, fd)
+
+            monkeypatch.setattr(io, "_format_range", fail_last_range)
+        path = tmp_path / "x.csv"
+        assert io._write_split(path, x) == (case == "written")
+        assert list(temp.iterdir()) == []
+        io.write_matrix(path, x)
+        assert sha256(path) == serial
+        assert list(temp.iterdir()) == []
+        assert reaped()
 
     def test_other_threads_keep_the_write_serial(self, tmp_path, small_write_split):
         x = self.matrix()

@@ -23,9 +23,9 @@ def test_one_core_count_reaches_every_consumer(monkeypatch, tmp_path, cores):
     forked = []
     fork_workers = io._fork_workers
 
-    def recording_fork(body, jobs, parent=None):
+    def recording_fork(body, jobs):
         forked.append(len(jobs))
-        return fork_workers(body, jobs, parent)
+        return fork_workers(body, jobs)
 
     monkeypatch.setattr(io, "_fork_workers", recording_fork)
     io.read_matrix(path)
